@@ -9,22 +9,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .classical import STATISTIC_NAMES, statistic_fn
-from .engine import TrainConfig, calibrate_cutoff, dnt_test, load_model, save_model, train
-from .errors import (
-    ConfigError,
-    DntError,
-    FormatError,
-    InvalidArgumentError,
-    ModelMismatchError,
+from .engine import (
+    TrainConfig,
+    calibrate_cutoff,
+    config_from_dict,
+    dnt_test,
+    load_model,
+    save_model,
+    train,
 )
+from .errors import ConfigError, DntError, FormatError, ModelMismatchError
 from .imagesim import METRIC_NAMES, similarity_test_statistic
-from .lmnn import LmnnConfig
 from .power import RunConfig, emit_table, run_power_study
 from .qq import qq_points, rasterize, to_pgm
-from .sampling import DistributionSpec, Sample, parse_distribution_label, sample
+from .sampling import Sample, parse_distribution_label, sample
 
 __all__ = ["entrypoint", "main"]
 
@@ -35,23 +37,29 @@ EXIT_MISSING_FILE = 3
 EXIT_BAD_FORMAT = 4
 EXIT_MISMATCH = 5
 
+# First match wins; every other package error is a usage error.
+_ERROR_EXITS = (
+    (ModelMismatchError, EXIT_MISMATCH),
+    (FormatError, EXIT_BAD_FORMAT),
+    (DntError, EXIT_USAGE),
+)
+
 
 # ---------------------------------------------------------------------------
 # Config files: flat key=value lines or one JSON object
 
 
 def _read_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from None
+    if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            return json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("JSON config must be a single object")
-        return data
     data: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -70,129 +78,12 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
-def _coerce_int(key: str, value) -> int:
-    if isinstance(value, bool) or (not isinstance(value, (int, str))):
-        raise ConfigError(f"{key}: expected an integer")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-
-def _coerce_float(key: str, value) -> float:
-    if isinstance(value, bool) or (not isinstance(value, (int, float, str))):
-        raise ConfigError(f"{key}: expected a number")
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-
-def _check_keys(data: dict, valid: tuple[str, ...], where: str) -> None:
-    unknown = [k for k in data if k not in valid]
-    if unknown:
-        raise ConfigError(
-            f"{where}: unknown key(s) {', '.join(sorted(unknown))}; "
-            f"valid keys are {', '.join(valid)}"
-        )
-
-
-def _spec_from_config(key: str, value) -> DistributionSpec:
-    if isinstance(value, str):
-        return parse_distribution_label(value)
-    if isinstance(value, dict):
-        _check_keys(value, ("kind", "params", "case_id"), key)
-        if "kind" not in value or "params" not in value:
-            raise ConfigError(f"{key}: needs 'kind' and 'params'")
-        return DistributionSpec(
-            value["kind"], tuple(value["params"]), value.get("case_id")
-        )
-    raise ConfigError(f"{key}: expected a label string or an object")
-
-
-_LMNN_KEYS = ("k", "push_weight", "margin", "max_iters", "step_size", "tolerance")
-
-
-def _lmnn_from_config(data, where: str) -> LmnnConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object of LMNN settings")
-    _check_keys(data, _LMNN_KEYS, where)
-    kwargs = {}
-    for key in ("k", "max_iters"):
-        if key in data:
-            kwargs[key] = _coerce_int(f"{where}.{key}", data[key])
-    for key in ("push_weight", "margin", "step_size", "tolerance"):
-        if key in data:
-            kwargs[key] = _coerce_float(f"{where}.{key}", data[key])
-    return LmnnConfig(**kwargs)
-
-
-_TRAIN_KEYS = (
-    "n",
-    "h0_pool",
-    "h0_keep_fraction",
-    "h1_count",
-    "h1_spec",
-    "d",
-    "extractor",
-    "alpha",
-    "lmnn",
-    "master_seed",
-    "fresh_null_count",
-)
-
-
-def train_config_from_dict(data: dict, where: str = "train") -> TrainConfig:
-    _check_keys(data, _TRAIN_KEYS, where)
-    kwargs = {}
-    for key in ("n", "h0_pool", "h1_count", "d", "master_seed", "fresh_null_count"):
-        if key in data:
-            kwargs[key] = _coerce_int(f"{where}.{key}", data[key])
-    for key in ("h0_keep_fraction", "alpha"):
-        if key in data:
-            kwargs[key] = _coerce_float(f"{where}.{key}", data[key])
-    if "extractor" in data:
-        kwargs["extractor"] = str(data["extractor"])
-    if "h1_spec" in data:
-        kwargs["h1_spec"] = _spec_from_config(f"{where}.h1_spec", data["h1_spec"])
-    if "lmnn" in data:
-        kwargs["lmnn"] = _lmnn_from_config(data["lmnn"], f"{where}.lmnn")
-    return TrainConfig(**kwargs)
-
-
-_RUN_KEYS = ("methods", "reps", "n", "calibration_reps", "train", "master_seed", "out")
-
-
-def run_config_from_dict(data: dict) -> RunConfig:
-    _check_keys(data, _RUN_KEYS, "run config")
-    if "methods" not in data:
-        raise ConfigError("run config: 'methods' is required")
-    methods = data["methods"]
-    if isinstance(methods, str):
-        methods = tuple(part.strip() for part in methods.split(",") if part.strip())
-    elif isinstance(methods, list):
-        methods = tuple(str(m) for m in methods)
-    else:
-        raise ConfigError("methods: expected a list or comma-separated names")
-    kwargs: dict = {"methods": methods}
-    for key in ("reps", "n", "calibration_reps", "master_seed"):
-        if key in data:
-            kwargs[key] = _coerce_int(key, data[key])
-    if "out" in data:
-        kwargs["out"] = str(data["out"])
-    if "train" in data:
-        if not isinstance(data["train"], dict):
-            raise ConfigError("train: expected an object of training settings")
-        kwargs["train"] = train_config_from_dict(data["train"])
-    return RunConfig(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_train(args) -> int:
-    cfg = train_config_from_dict(_read_config_file(args.config), where="config")
+    cfg = config_from_dict(TrainConfig, _read_config_file(args.config), "config")
     model = train(cfg)
     save_model(model, args.out)
     print(f"model written to {args.out}")
@@ -200,19 +91,25 @@ def _cmd_train(args) -> int:
 
 
 def _read_sample_file(path: str) -> Sample:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: data is not UTF-8 text: {exc}") from None
     values = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
         try:
-            values.append(float(text))
+            value = float(text)
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             raise FormatError(
-                f"{path}:{lineno}: expected one decimal number per line, got {text!r}"
-            ) from None
+                f"{path}:{lineno}: expected one finite decimal number per line, got {text!r}"
+            )
+        values.append(value)
     if len(values) < 3:
         raise FormatError(f"{path}: needs at least 3 values, found {len(values)}")
     return Sample(values)
@@ -227,7 +124,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    cfg = run_config_from_dict(_read_config_file(args.config))
+    cfg = config_from_dict(RunConfig, _read_config_file(args.config), "config")
     out = args.out or cfg.out
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
@@ -312,20 +209,12 @@ def entrypoint(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (FormatError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FORMAT
-    except FileNotFoundError as exc:
-        name = getattr(exc, "filename", None)
-        print(f"error: missing file: {name or exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (ConfigError, InvalidArgumentError, DntError) as exc:
+    except DntError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 def main() -> None:
     sys.exit(entrypoint())

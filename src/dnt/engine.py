@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .sampling import (
     Sample,
     SeedScheme,
     case_spec,
+    parse_distribution_label,
     sample,
 )
 
@@ -57,6 +59,8 @@ __all__ = [
     "dnt_test",
     "save_model",
     "load_model",
+    "config_to_dict",
+    "config_from_dict",
 ]
 
 MODEL_FORMAT_VERSION = "dnt-model-v1"
@@ -157,16 +161,15 @@ class DNTModel:
     def __post_init__(self) -> None:
         centroid = np.asarray(self.centroid, dtype=float).copy()
         null = np.asarray(self.null_distances, dtype=float).copy()
-        if self.extractor_id not in EXTRACTOR_IDS:
-            raise InvalidArgumentError(f"unknown extractor {self.extractor_id!r}")
+        cfg = self.config  # validated, so the equality also checks the copies
+        if (self.extractor_id, self.n, self.alpha) != (cfg.extractor, cfg.n, cfg.alpha):
+            raise InvalidArgumentError("extractor_id, n and alpha disagree with config")
         if centroid.ndim != 1 or centroid.size != self.selection.d:
             raise InvalidArgumentError("centroid length must equal selection.d")
         if self.metric.dim != self.selection.d:
             raise InvalidArgumentError("metric dimension must equal selection.d")
         if null.ndim != 1 or null.size == 0 or np.any(np.diff(null) < 0):
             raise InvalidArgumentError("null_distances must be sorted ascending")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidArgumentError("alpha must be in (0, 1)")
         expected = float(null[_quantile_index(null.size, self.alpha) - 1])
         if self.cutoff != expected:
             raise InvalidArgumentError(
@@ -309,34 +312,94 @@ def dnt_test(x: Sample | np.ndarray, model: DNTModel) -> TestReport:
 
 
 # ---------------------------------------------------------------------------
+# Config codec: one rule set for config files and the model's config block
+
+# Accepted input types and error wording per scalar field type.
+_SCALARS = {
+    int: ((int, str), "an integer"),
+    float: ((int, float, str), "a number"),
+    str: ((str,), "a string"),
+}
+_type_hints = cache(get_type_hints)  # about 200 us per class, so resolve once
+
+
+def config_to_dict(obj):
+    """JSON data of a config: dataclasses become objects, tuples lists."""
+    if is_dataclass(obj):
+        return {f.name: config_to_dict(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [config_to_dict(item) for item in obj]
+    return obj
+
+
+def config_from_dict(cls, data, where: str):
+    """Config dataclass cls from JSON or key=value data; errors name where.key."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object")
+    hints = _type_hints(cls)
+    unknown = sorted(set(data) - hints.keys())
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key(s) {', '.join(unknown)}; valid keys are {', '.join(hints)}"
+        )
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            kwargs[f.name] = _decode(hints[f.name], data[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}.{f.name}: required")
+    try:
+        return cls(**kwargs)
+    except (ConfigError, InvalidArgumentError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _decode(kind, value, where: str):
+    """One field value, checked against and converted to its declared type."""
+    args = get_args(kind)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (kind,) = set(args) - {type(None)}
+    if kind in _SCALARS:
+        accepted, label = _SCALARS[kind]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{where}: expected {label}")
+        try:
+            value = kind(value)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{where}: expected {label}, got {value!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        return value
+    if kind is DistributionSpec and isinstance(value, str):
+        try:
+            return parse_distribution_label(value)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    if is_dataclass(kind):
+        return config_from_dict(kind, value, where)
+    # Config fields are scalars, optional scalars, dataclasses or tuple[X, ...].
+    if isinstance(value, str):
+        value = [part.strip() for part in value.split(",") if part.strip()]
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list or comma-separated text")
+    return tuple(_decode(args[0], item, f"{where}[{i}]") for i, item in enumerate(value))
+
+
+def _noncanonical_key(canonical, raw, where: str) -> str | None:
+    """Path of the first value in raw that differs from its canonical form."""
+    if not (isinstance(canonical, dict) and isinstance(raw, dict)):
+        return None if canonical == raw else where
+    for key, value in canonical.items():
+        found = _noncanonical_key(value, raw.get(key, MISSING), f"{where}.{key}")
+        if found is not None:
+            return found
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Persistence
-
-
-def _spec_payload(spec: DistributionSpec) -> dict:
-    return {"kind": spec.kind, "params": list(spec.params), "case_id": spec.case_id}
-
-
-def _config_payload(cfg: TrainConfig) -> dict:
-    return {
-        "n": cfg.n,
-        "h0_pool": cfg.h0_pool,
-        "h0_keep_fraction": cfg.h0_keep_fraction,
-        "h1_count": cfg.h1_count,
-        "h1_spec": _spec_payload(cfg.h1_spec),
-        "d": cfg.d,
-        "extractor": cfg.extractor,
-        "alpha": cfg.alpha,
-        "lmnn": {
-            "k": cfg.lmnn.k,
-            "push_weight": cfg.lmnn.push_weight,
-            "margin": cfg.lmnn.margin,
-            "max_iters": cfg.lmnn.max_iters,
-            "step_size": cfg.lmnn.step_size,
-            "tolerance": cfg.lmnn.tolerance,
-        },
-        "master_seed": cfg.master_seed,
-        "fresh_null_count": cfg.fresh_null_count,
-    }
 
 
 def save_model(model: DNTModel, path: str) -> None:
@@ -354,7 +417,7 @@ def save_model(model: DNTModel, path: str) -> None:
         "centroid": model.centroid.tolist(),
         "null_distances": model.null_distances.tolist(),
         "cutoff": model.cutoff,
-        "config": _config_payload(model.config),
+        "config": config_to_dict(model.config),
     }
     text = json.dumps(payload, sort_keys=True, allow_nan=False, separators=(",", ":"))
     with open(path, "w", encoding="ascii") as handle:
@@ -389,69 +452,37 @@ class _Reader:
             raise FormatError(f"{self.where}.{key}: expected a numeric array") from None
         if arr.ndim != 1:
             raise FormatError(f"{self.where}.{key}: expected a flat numeric array")
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{self.where}.{key}: values must be finite")
         return arr
 
-    def child(self, key: str) -> "_Reader":
-        return _Reader(self.get(key, dict), f"{self.where}.{key}")
 
-
-def _load_config(reader: _Reader) -> TrainConfig:
-    spec_reader = reader.child("h1_spec")
-    case_id = spec_reader.payload.get("case_id")
-    if case_id is not None and not isinstance(case_id, int):
-        raise FormatError(f"{spec_reader.where}.case_id: expected int or null")
-    h1_spec = DistributionSpec(
-        spec_reader.get("kind", str),
-        tuple(spec_reader.vector("params").tolist()),
-        case_id,
-    )
-    lmnn_reader = reader.child("lmnn")
-    lmnn = LmnnConfig(
-        k=lmnn_reader.get("k", int),
-        push_weight=lmnn_reader.get("push_weight", float),
-        margin=lmnn_reader.get("margin", float),
-        max_iters=lmnn_reader.get("max_iters", int),
-        step_size=lmnn_reader.get("step_size", float),
-        tolerance=lmnn_reader.get("tolerance", float),
-    )
-    master_seed = reader.payload.get("master_seed")
-    if master_seed is not None and not isinstance(master_seed, int):
-        raise FormatError(f"{reader.where}.master_seed: expected int or null")
-    try:
-        return TrainConfig(
-            n=reader.get("n", int),
-            h0_pool=reader.get("h0_pool", int),
-            h0_keep_fraction=reader.get("h0_keep_fraction", float),
-            h1_count=reader.get("h1_count", int),
-            h1_spec=h1_spec,
-            d=reader.get("d", int),
-            extractor=reader.get("extractor", str),
-            alpha=reader.get("alpha", float),
-            lmnn=lmnn,
-            master_seed=master_seed,
-            fresh_null_count=reader.get("fresh_null_count", int),
-        )
-    except ConfigError as exc:
-        raise FormatError(f"{reader.where}: {exc}") from None
+def _reject_constant(token: str):
+    raise FormatError(f"model file holds the non-finite number {token}")
 
 
 def load_model(path: str) -> DNTModel:
     """Read a model file, validating format, version, and invariants."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"model file not found: {path}")
-    with open(path, "r", encoding="ascii") as handle:
-        text = handle.read()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"model file is not valid JSON: {exc}") from None
+        with open(path, "r", encoding="ascii") as handle:
+            payload = json.loads(handle.read(), parse_constant=_reject_constant)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"model file is not valid ASCII JSON: {exc}") from None
     root = _Reader(payload, "model")
     version = root.get("format", str)
     if version != MODEL_FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"model.format: {version!r} is not supported (expected {MODEL_FORMAT_VERSION!r})"
         )
-    selection_reader = root.child("selection")
+    raw_config = root.get("config", dict)
+    try:
+        config = config_from_dict(TrainConfig, raw_config, "model.config")
+    except ConfigError as exc:
+        raise FormatError(str(exc)) from None
+    drift = _noncanonical_key(config_to_dict(config), raw_config, "model.config")
+    if drift is not None:
+        raise FormatError(f"{drift}: missing or not in canonical form")
+    selection_reader = _Reader(root.get("selection", dict), "model.selection")
     try:
         selection = SelectionModel(
             selection_reader.vector("scores"),
@@ -471,7 +502,7 @@ def load_model(path: str) -> DNTModel:
             cutoff=root.get("cutoff", float),
             alpha=root.get("alpha", float),
             n=root.get("n", int),
-            config=_load_config(root.child("config")),
+            config=config,
         )
     except InvalidArgumentError as exc:
         raise FormatError(f"model: {exc}") from None

@@ -135,6 +135,13 @@ class TestSeamFunctions:
         assert ks_from_u(u) == pytest.approx(ks_statistic(x).value, abs=1e-12)
         assert ad_from_u(u) == pytest.approx(ad_statistic(x).value, abs=1e-12)
         assert glb_from_u(u) == pytest.approx(glb_statistic(x).value, abs=1e-12)
+        # One extreme outlier: its z = 9.95 gives u = Phi(9.95), which rounds
+        # to 1.0, so the seam refuses a sample the full statistic scores.
+        outlier = np.append(np.zeros(99), 1e6)
+        z = np.sort((outlier - outlier.mean()) / outlier.std())
+        assert ks_statistic(outlier).value == pytest.approx(0.5300278095914963, abs=1e-12)
+        with pytest.raises(InvalidArgumentError):
+            ks_from_u(np.array([oracles.oracle_normal_cdf_erf(float(v)) for v in z]))
 
     @pytest.mark.parametrize(
         "u",

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from dnt import case_spec, load_model, parse_table, sample
+from dnt import DistributionSpec, case_spec, load_model, parse_table, sample
 from dnt.cli import (
     EXIT_BAD_FORMAT,
     EXIT_MISMATCH,
@@ -98,12 +98,13 @@ class TestTrainCommand:
         assert "h0_keep_fracton" in capsys.readouterr().err
 
     def test_non_numeric_value_is_a_usage_error(self, tmp_path):
-        """An unparseable integer is rejected before training."""
+        """An unparseable integer or undecodable text is rejected before training."""
         config = tmp_path / "train.cfg"
-        config.write_text("n = twenty\n")
-        assert entrypoint(
-            ["train", "--config", str(config), "--out", str(tmp_path / "m.json")]
-        ) == EXIT_USAGE
+        for text in (b"n = twenty\n", b"n = \xff\n"):
+            config.write_bytes(text)
+            assert entrypoint(
+                ["train", "--config", str(config), "--out", str(tmp_path / "m.json")]
+            ) == EXIT_USAGE
 
     def test_invalid_settings_are_a_usage_error(self, tmp_path):
         """Config-level validation failures map to the usage exit code."""
@@ -114,10 +115,32 @@ class TestTrainCommand:
         ) == EXIT_USAGE
 
     def test_missing_config_file(self, tmp_path):
-        """A nonexistent config path maps to the missing-file code."""
+        """A nonexistent or directory config path maps to the missing-file code."""
+        for config in (tmp_path / "nope.cfg", tmp_path):
+            assert entrypoint(
+                ["train", "--config", str(config), "--out", str(tmp_path / "m.json")]
+            ) == EXIT_MISSING_FILE
+
+    @pytest.mark.parametrize(
+        "h1_spec",
+        [{"kind": "Normal", "params": 5}, {"kind": "Normal", "params": ["a", "b"]}],
+    )
+    def test_malformed_h1_spec_is_a_usage_error(self, tmp_path, capsys, h1_spec):
+        """A bad h1_spec object is located instead of crashing."""
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({**TRAIN_JSON, "h1_spec": h1_spec}))
         assert entrypoint(
-            ["train", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "m.json")]
-        ) == EXIT_MISSING_FILE
+            ["train", "--config", str(config), "--out", str(tmp_path / "m.json")]
+        ) == EXIT_USAGE
+        assert "config.h1_spec.params" in capsys.readouterr().err
+
+    def test_dotted_h1_spec_trains(self, tmp_path):
+        """h1_spec.kind and h1_spec.params lines build the alternative."""
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_LINES + "h1_spec.kind = Normal\nh1_spec.params = 0,2\n")
+        out = tmp_path / "m.json"
+        assert entrypoint(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert load_model(str(out)).config.h1_spec == DistributionSpec("Normal", (0.0, 2.0))
 
 
 class TestTestCommand:
@@ -137,32 +160,57 @@ class TestTestCommand:
         assert entrypoint(["test", "--model", str(model_path), "--data", str(data)]) == EXIT_REJECT
         assert "reject" in capsys.readouterr().out
 
-    def test_missing_model_file(self, tmp_path):
-        """A nonexistent model path maps to the missing-file code."""
+    def test_missing_model_file(self, model_path, tmp_path):
+        """A nonexistent or directory input path maps to the missing-file code."""
         data = tmp_path / "null.txt"
         write_sample(data, case_id=15)
-        assert entrypoint(
-            ["test", "--model", str(tmp_path / "absent.json"), "--data", str(data)]
-        ) == EXIT_MISSING_FILE
+        for model, data_path in (
+            (tmp_path / "absent.json", data),
+            (tmp_path, data),
+            (model_path, tmp_path),
+        ):
+            assert entrypoint(
+                ["test", "--model", str(model), "--data", str(data_path)]
+            ) == EXIT_MISSING_FILE
 
     def test_corrupt_model_file(self, tmp_path):
-        """An unparseable model maps to the bad-format code."""
+        """An unparseable or undecodable model maps to the bad-format code."""
         model = tmp_path / "model.json"
-        model.write_text("{broken")
         data = tmp_path / "null.txt"
         write_sample(data, case_id=15)
+        for blob in (b"{broken", b'{"format": "\xff"}\n'):
+            model.write_bytes(blob)
+            assert entrypoint(
+                ["test", "--model", str(model), "--data", str(data)]
+            ) == EXIT_BAD_FORMAT
+
+    @pytest.mark.parametrize("field", ["centroid", "null_distances"])
+    def test_nan_in_model_is_a_format_error(self, model_path, tmp_path, field, capsys):
+        """A NaN array entry maps to the bad-format code, not to silent accepts."""
+        payload = json.loads(model_path.read_text())
+        payload[field][0] = float("nan")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        data = tmp_path / "heavy.txt"
+        write_sample(data, case_id=1)
         assert entrypoint(
             ["test", "--model", str(model), "--data", str(data)]
         ) == EXIT_BAD_FORMAT
+        assert "NaN" in capsys.readouterr().err
 
     def test_malformed_data_line(self, model_path, tmp_path, capsys):
-        """A non-numeric line is located by file and line number."""
+        """A non-numeric or non-finite line is located by file and line number."""
         data = tmp_path / "bad.txt"
-        data.write_text("1.0\n2.0\npotato\n4.0\n")
+        for value in ("potato", "nan", "inf", "-Infinity", "1e400"):
+            data.write_text(f"1.0\n2.0\n{value}\n4.0\n")
+            assert entrypoint(
+                ["test", "--model", str(model_path), "--data", str(data)]
+            ) == EXIT_BAD_FORMAT
+            assert ":3:" in capsys.readouterr().err
+        data.write_bytes(b"1.0\n2.0\n\xff\n4.0\n")
         assert entrypoint(
             ["test", "--model", str(model_path), "--data", str(data)]
         ) == EXIT_BAD_FORMAT
-        assert ":3:" in capsys.readouterr().err
 
     def test_wrong_sample_size_is_a_mismatch(self, model_path, tmp_path):
         """Data of another length than the model's n maps to code 5."""

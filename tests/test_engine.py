@@ -8,6 +8,7 @@ including its failure modes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -16,11 +17,13 @@ import pytest
 
 from dnt import (
     ConfigError,
+    DistributionSpec,
     DNTModel,
     FormatError,
     InvalidArgumentError,
     LmnnConfig,
     ModelMismatchError,
+    RunConfig,
     Sample,
     SeedScheme,
     TestReport,
@@ -35,7 +38,12 @@ from dnt import (
     save_model,
     train,
 )
-from dnt.engine import MODEL_FORMAT_VERSION, extract_features
+from dnt.engine import (
+    MODEL_FORMAT_VERSION,
+    config_from_dict,
+    config_to_dict,
+    extract_features,
+)
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -63,6 +71,82 @@ def model() -> DNTModel:
 
 class TestTrainConfig:
     """Validation and derived quantities of the training configuration."""
+
+    def test_codec_round_trips_every_field(self):
+        """Configs with no field at its default survive dict and JSON round trips."""
+        train_cfg = TrainConfig(
+            n=30,
+            h0_pool=80,
+            h0_keep_fraction=0.25,
+            h1_count=40,
+            h1_spec=case_spec(7),
+            d=12,
+            extractor="ImageGrid",
+            alpha=0.1,
+            lmnn=LmnnConfig(
+                k=4, push_weight=0.5, margin=2.0, max_iters=10, step_size=1e-2, tolerance=1e-5
+            ),
+            master_seed=9,
+            fresh_null_count=5,
+        )
+        run_cfg = RunConfig(
+            methods=("KS", "SSIM"),
+            reps=60,
+            n=30,
+            calibration_reps=200,
+            train=train_cfg,
+            master_seed=4,
+            out="table.csv",
+        )
+        defaults = {
+            TrainConfig: TrainConfig(),
+            LmnnConfig: LmnnConfig(),
+            RunConfig: RunConfig(methods=("JB",)),
+        }
+        for cfg in (train_cfg, train_cfg.lmnn, run_cfg):
+            default = defaults[type(cfg)]
+            for f in dataclasses.fields(cfg):
+                assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+            data = config_to_dict(cfg)
+            assert config_from_dict(type(cfg), data, "config") == cfg
+            assert config_from_dict(type(cfg), json.loads(json.dumps(data)), "config") == cfg
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ({"n": True}, "config.n: expected an integer"),
+            ({"alpha": "nan"}, "config.alpha: expected a finite number"),
+            ({"lmnn": {"k": "five"}}, "config.lmnn.k: expected an integer"),
+            ({"lmnn": 5}, "config.lmnn: expected an object"),
+            ({"h1_spec": {"kind": "Normal", "params": 5}}, "config.h1_spec.params: expected a list"),
+            ({"h1_spec": {"kind": "Normal", "params": ["a", "b"]}}, "config.h1_spec.params"),
+            ({"h1_spec": {"kind": "Normal"}}, "config.h1_spec.params: required"),
+            ({"h1_spec": "cauchy(1)"}, "config.h1_spec: unknown distribution"),
+            ({"extractor": 5}, "config.extractor: expected a string"),
+            ({"d": 200}, "config: d must be in"),
+            ({"lmnn": {"k": 0}}, "config.lmnn: k must be at least 1"),
+            ({"h0_keep_fracton": 0.2}, "unknown key.*h0_keep_fracton"),
+        ],
+    )
+    def test_codec_errors_are_located_config_errors(self, data, where):
+        """Every malformed value raises a ConfigError naming its key."""
+        with pytest.raises(ConfigError, match=where):
+            config_from_dict(TrainConfig, data, "config")
+
+    def test_codec_reads_key_value_text(self):
+        """Text values and comma-separated tuples decode by field type."""
+        cfg = config_from_dict(
+            TrainConfig,
+            {"n": "120", "alpha": "0.1", "h1_spec": {"kind": "Normal", "params": "0, 2"}},
+            "config",
+        )
+        assert (cfg.n, cfg.alpha) == (120, 0.1)
+        assert cfg.h1_spec == DistributionSpec("Normal", (0.0, 2.0))
+        assert config_from_dict(TrainConfig, {"h1_spec": "t(5)"}, "config").h1_spec == case_spec(2)
+        run = config_from_dict(RunConfig, {"methods": "KS, JB"}, "config")
+        assert run.methods == ("KS", "JB")
+        with pytest.raises(ConfigError, match="config.methods: required"):
+            config_from_dict(RunConfig, {}, "config")
 
     def test_defaults_are_valid(self):
         """The default configuration constructs without error."""
@@ -430,3 +514,57 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, str(path))
         assert json.loads(path.read_text())["format"] == MODEL_FORMAT_VERSION
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda config: config.pop("fresh_null_count"), "model.config.fresh_null_count"),
+            (lambda config: config["lmnn"].pop("tolerance"), "model.config.lmnn.tolerance"),
+            (lambda config: config.update(n="20"), "model.config.n"),
+            (lambda config: config.update(extra=1), "extra"),
+            (lambda config: config.update(h1_spec="t(50)"), "model.config.h1_spec"),
+            (lambda config: config.update(alpha=True), "model.config.alpha"),
+        ],
+    )
+    def test_config_must_be_canonical(self, model, tmp_path, edit, key):
+        """A config the codec would accept but not write back is refused by key."""
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text())
+        edit(payload["config"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=key):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("field", ["centroid", "null_distances"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1e400"])
+    def test_non_finite_numbers_are_rejected(self, model, tmp_path, field, value):
+        """NaN, Infinity and overflowing literals never load."""
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text())
+        payload[field][0] = "@"
+        literal = value if isinstance(value, str) else json.dumps(value)
+        path.write_text(json.dumps(payload).replace('"@"', literal))
+        with pytest.raises(FormatError):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key, value", [("n", 30), ("alpha", 0.1), ("extractor", "ImageGrid")])
+    def test_config_must_match_the_model(self, model, tmp_path, key, value):
+        """n, alpha and extractor_id have to equal their config copies."""
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text())
+        payload["config"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="disagree with config"):
+            load_model(str(path))
+        with pytest.raises(InvalidArgumentError, match="disagree with config"):
+            dataclasses.replace(model, config=dataclasses.replace(model.config, **{key: value}))
+
+    def test_undecodable_file_is_a_format_error(self, tmp_path):
+        """Bytes outside ASCII are malformed model data, not a crash."""
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"format": "\xff"}\n')
+        with pytest.raises(FormatError, match="ASCII"):
+            load_model(str(path))
