@@ -12,7 +12,6 @@ import json
 import math
 import sys
 
-from .classical import STATISTIC_NAMES, statistic_fn
 from .engine import (
     TrainConfig,
     calibrate_cutoff,
@@ -23,8 +22,7 @@ from .engine import (
     train,
 )
 from .errors import ConfigError, DntError, FormatError, ModelMismatchError
-from .imagesim import METRIC_NAMES, similarity_test_statistic
-from .power import RunConfig, emit_table, run_power_study
+from .power import RunConfig, emit_table, null_statistic, run_power_study
 from .qq import qq_points, rasterize, to_pgm
 from .sampling import Sample, parse_distribution_label, sample
 
@@ -57,7 +55,7 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from None
     if text.lstrip().startswith("{"):
         try:
-            return json.loads(text)
+            return json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     data: dict = {}
@@ -74,7 +72,18 @@ def _read_config_file(path: str) -> dict:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"config line {lineno}: {key!r} nests into a scalar")
+        if parts[-1] in node:
+            raise ConfigError(f"config line {lineno}: repeated key {key.strip()!r}")
         node[parts[-1]] = value.strip()
+    return data
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config: repeated key {key!r}")
+        data[key] = value
     return data
 
 
@@ -147,18 +156,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    name = args.stat
-    if name in STATISTIC_NAMES:
-        fn = statistic_fn(name)
-    elif name in METRIC_NAMES:
-        def fn(x, metric=name):
-            return similarity_test_statistic(x, metric=metric)
-    else:
-        raise ConfigError(
-            f"unknown statistic {name!r}; valid names are "
-            f"{', '.join(STATISTIC_NAMES + METRIC_NAMES)}"
-        )
-    cutoff = calibrate_cutoff(fn, args.n, args.reps, alpha=args.alpha, seed=args.seed)
+    statistic = null_statistic(args.stat, args.n)
+    cutoff = calibrate_cutoff(statistic, args.n, args.reps, alpha=args.alpha, seed=args.seed)
     print(cutoff)
     return EXIT_OK
 

@@ -43,6 +43,7 @@ from .sampling import (
     DistributionSpec,
     Sample,
     SeedScheme,
+    benchmark_case_id,
     case_spec,
     parse_distribution_label,
     sample,
@@ -198,7 +199,7 @@ def _feature_block(
     purpose: str,
     extractor_id: str,
 ) -> np.ndarray:
-    case_id = spec.case_id if spec.case_id is not None else 0
+    case_id = benchmark_case_id(spec.kind, spec.params) or 0
     rows = [
         extract_features(
             sample(spec, n, scheme.stream(case_id, r, purpose)), extractor_id
@@ -377,6 +378,11 @@ def _decode(kind, value, where: str):
             return parse_distribution_label(value)
         except InvalidArgumentError as exc:
             raise ConfigError(f"{where}: {exc}") from None
+    if kind is DistributionSpec and isinstance(value, dict) and "case_id" not in value:
+        # An object without case_id names its benchmark row like a label does.
+        spec = config_from_dict(kind, value, where)
+        case_id = benchmark_case_id(spec.kind, spec.params)
+        return DistributionSpec(spec.kind, spec.params, case_id)
     if is_dataclass(kind):
         return config_from_dict(kind, value, where)
     # Config fields are scalars, optional scalars, dataclasses or tuple[X, ...].

@@ -5,9 +5,9 @@ the same n (points exactly on the anchor line) and negates the
 similarity, so larger values mean less normal. SSIM follows the
 classic construction: 11x11 Gaussian window (sigma 1.5), stride 1,
 valid placements only, constants C1=0.01^2 and C2=0.03^2 at dynamic
-range 1, mean pooling. SSIM window statistics of the fixed reference
-are cached per sample size because power studies evaluate thousands of
-rasters against the same reference.
+range 1, mean pooling. A SimilarityReference computes the window
+statistics of its raster once, because power studies evaluate thousands
+of rasters against the same reference.
 """
 
 from __future__ import annotations
@@ -70,44 +70,16 @@ def _filter_valid(img: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, _WINDOW, axis=0) @ _G
 
 
-def _pixels_pair(a: QQRaster, b: QQRaster) -> tuple[np.ndarray, np.ndarray]:
-    if a.pixels.shape != b.pixels.shape:
-        raise InvalidArgumentError("rasters must share dimensions")
-    return a.pixels, b.pixels
-
-
 def psnr(a: QQRaster, b: QQRaster) -> SimilarityScore:
     """10 log10(1/MSE) on [0,1] intensities; identical images give +inf."""
-    pa, pb = _pixels_pair(a, b)
-    mse = float(np.mean((pa - pb) ** 2))
+    mse = float(np.mean((a.pixels - b.pixels) ** 2))
     value = math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
     return SimilarityScore("PSNR", value)
 
 
-def _ssim_mean(
-    pa: np.ndarray,
-    mu_a: np.ndarray,
-    var_a: np.ndarray,
-    pb: np.ndarray,
-    mu_b: np.ndarray,
-    var_b: np.ndarray,
-) -> float:
-    cov = _filter_valid(pa * pb) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + _C1) * (2.0 * cov + _C2)
-    den = (mu_a**2 + mu_b**2 + _C1) * (var_a + var_b + _C2)
-    return float(np.mean(num / den))
-
-
 def ssim(a: QQRaster, b: QQRaster) -> SimilarityScore:
     """Mean structural similarity over sliding Gaussian windows."""
-    pa, pb = _pixels_pair(a, b)
-    if min(pa.shape) < _WINDOW:
-        raise InvalidArgumentError(f"rasters must be at least {_WINDOW}x{_WINDOW}")
-    mu_a = _filter_valid(pa)
-    mu_b = _filter_valid(pb)
-    var_a = _filter_valid(pa * pa) - mu_a**2
-    var_b = _filter_valid(pb * pb) - mu_b**2
-    return SimilarityScore("SSIM", _ssim_mean(pa, mu_a, var_a, pb, mu_b, var_b))
+    return SimilarityScore("SSIM", SimilarityReference(b).ssim_against(a))
 
 
 class SimilarityReference:
@@ -125,10 +97,15 @@ class SimilarityReference:
         return cls(rasterize(ideal_points(n)))
 
     def ssim_against(self, candidate: QQRaster) -> float:
-        pa, pb = _pixels_pair(candidate, self.raster)
+        """Mean SSIM of candidate against the reference."""
+        pa, pb = candidate.pixels, self._pixels
         mu_a = _filter_valid(pa)
         var_a = _filter_valid(pa * pa) - mu_a**2
-        return _ssim_mean(pa, mu_a, var_a, pb, self._mu, self._var)
+        mu_b, var_b = self._mu, self._var
+        cov = _filter_valid(pa * pb) - mu_a * mu_b
+        num = (2.0 * mu_a * mu_b + _C1) * (2.0 * cov + _C2)
+        den = (mu_a**2 + mu_b**2 + _C1) * (var_a + var_b + _C2)
+        return float(np.mean(num / den))
 
     def psnr_against(self, candidate: QQRaster) -> float:
         return psnr(candidate, self.raster).value
@@ -142,17 +119,6 @@ class SimilarityReference:
         raise InvalidArgumentError(f"unknown metric {metric!r}")
 
 
-_REFERENCE_CACHE: dict[int, SimilarityReference] = {}
-
-
-def _reference_for(n: int) -> SimilarityReference:
-    ref = _REFERENCE_CACHE.get(n)
-    if ref is None:
-        ref = SimilarityReference.ideal(n)
-        _REFERENCE_CACHE[n] = ref
-    return ref
-
-
 def similarity_test_statistic(
     x: Sample | np.ndarray,
     metric: str = "SSIM",
@@ -160,12 +126,11 @@ def similarity_test_statistic(
 ) -> float:
     """Normality statistic: negated similarity of x's raster to a reference.
 
-    The reference defaults to the ideal raster for len(x); passing one
-    explicitly bypasses the per-n cache.
+    The reference defaults to the ideal raster for len(x).
     """
-    if metric not in METRIC_NAMES:
-        raise InvalidArgumentError(f"unknown metric {metric!r}")
-    n = len(x.values) if isinstance(x, Sample) else int(np.asarray(x).size)
-    candidate = rasterize(qq_points(x))
-    ref = _reference_for(n) if reference is None else SimilarityReference(reference)
-    return ref.statistic(candidate, metric)
+    points = qq_points(x)
+    if reference is None:
+        ref = SimilarityReference.ideal(points.n)
+    else:
+        ref = SimilarityReference(reference)
+    return ref.statistic(rasterize(points), metric)

@@ -18,7 +18,7 @@ import numpy as np
 from .classical import STATISTIC_NAMES, statistic_fn
 from .engine import DNTModel, TrainConfig, calibrate_cutoff, dnt_test, train
 from .errors import ConfigError, FormatError, InvalidArgumentError
-from .imagesim import SimilarityReference
+from .imagesim import METRIC_NAMES, SimilarityReference
 from .qq import qq_points, rasterize
 from .sampling import Sample, SeedScheme, case_spec, sample
 
@@ -27,24 +27,18 @@ __all__ = [
     "RunConfig",
     "PowerTable",
     "MethodBank",
+    "null_statistic",
     "build_methods",
     "run_power_study",
     "emit_table",
     "parse_table",
 ]
 
-METHOD_NAMES = (
-    "DNT-raw",
-    "DNT-image",
-    "KS",
-    "AD",
-    "JB",
-    "GLB",
-    "GG",
-    "BS",
-    "PSNR",
-    "SSIM",
-)
+METHOD_NAMES = ("DNT-raw", "DNT-image", *STATISTIC_NAMES, *METRIC_NAMES)
+
+# The trained methods and the feature extractor each one learns from;
+# every other method is a statistic calibrated by null_statistic.
+_EXTRACTORS = {"DNT-raw": "RawOrder", "DNT-image": "ImageGrid"}
 
 _CASE_IDS = tuple(range(1, 16))
 _H1_CASE_IDS = tuple(range(1, 15))
@@ -112,9 +106,9 @@ class MethodBank:
         out: dict[str, bool] = {}
         raster = None
         for name in self.methods:
-            if name in ("DNT-raw", "DNT-image"):
+            if name in _EXTRACTORS:
                 out[name] = dnt_test(x, self.models[name]).reject
-            elif name in ("PSNR", "SSIM"):
+            elif name in METRIC_NAMES:
                 if raster is None:
                     raster = rasterize(qq_points(x))
                 value = self.reference.statistic(raster, name)
@@ -125,37 +119,36 @@ class MethodBank:
         return out
 
 
+def null_statistic(name: str, n: int, reference: SimilarityReference | None = None):
+    """The statistic of an untrained method, as calibrate_cutoff takes it.
+
+    PSNR and SSIM compare a sample's raster with reference, by default
+    the ideal raster for n.
+    """
+    if name in STATISTIC_NAMES:
+        return statistic_fn(name)
+    if name in METRIC_NAMES:
+        ref = SimilarityReference.ideal(n) if reference is None else reference
+        return lambda x: ref.statistic(rasterize(qq_points(x)), name)
+    raise ConfigError(
+        f"unknown statistic {name!r}; valid names are "
+        f"{', '.join(STATISTIC_NAMES + METRIC_NAMES)}"
+    )
+
+
 def build_methods(cfg: RunConfig) -> MethodBank:
     """Train every DNT variant and calibrate every statistic in cfg."""
     cutoffs: dict[str, float] = {}
     models: dict[str, DNTModel] = {}
     reference = None
-    if any(name in cfg.methods for name in ("PSNR", "SSIM")):
+    if any(name in METRIC_NAMES for name in cfg.methods):
         reference = SimilarityReference.ideal(cfg.n)
     for name in cfg.methods:
-        if name == "DNT-raw":
-            models[name] = train(replace(cfg.resolved_train(), extractor="RawOrder"))
-        elif name == "DNT-image":
-            base = cfg.resolved_train()
-            if base.extractor != "ImageGrid":
-                base = replace(base, extractor="ImageGrid")
-            models[name] = train(base)
-        elif name in STATISTIC_NAMES:
+        if name in _EXTRACTORS:
+            models[name] = train(replace(cfg.resolved_train(), extractor=_EXTRACTORS[name]))
+        else:
             cutoffs[name] = calibrate_cutoff(
-                statistic_fn(name),
-                cfg.n,
-                cfg.calibration_reps,
-                alpha=0.05,
-                seed=cfg.master_seed,
-            )
-        else:  # PSNR / SSIM
-            ref = reference
-
-            def iqa_statistic(x: Sample, metric=name, ref=ref) -> float:
-                return ref.statistic(rasterize(qq_points(x)), metric)
-
-            cutoffs[name] = calibrate_cutoff(
-                iqa_statistic,
+                null_statistic(name, cfg.n, reference),
                 cfg.n,
                 cfg.calibration_reps,
                 alpha=0.05,

@@ -20,6 +20,7 @@ __all__ = [
     "Sample",
     "SeedScheme",
     "benchmark_cases",
+    "benchmark_case_id",
     "case_spec",
     "parse_distribution_label",
     "sample",
@@ -152,6 +153,14 @@ def case_spec(case_id: int) -> DistributionSpec:
     return DistributionSpec(row[0], row[1], case_id)
 
 
+def benchmark_case_id(kind: str, params: tuple[float, ...]) -> int | None:
+    """Id of the benchmark row whose law is exactly kind(params), if any."""
+    for cid, (row_kind, row_params, _) in _CASE_TABLE.items():
+        if (kind, params) == (row_kind, row_params):
+            return cid
+    return None
+
+
 _KIND_ALIASES = {
     "normal": "Normal",
     "n": "Normal",
@@ -199,10 +208,7 @@ def parse_distribution_label(text: str) -> DistributionSpec:
         if defaults is None:
             raise InvalidArgumentError(f"{text!r} needs explicit parameters")
         params = defaults
-    for cid, (row_kind, row_params, _) in _CASE_TABLE.items():
-        if (kind, params) == (row_kind, row_params):
-            return DistributionSpec(kind, params, cid)
-    return DistributionSpec(kind, params)
+    return DistributionSpec(kind, params, benchmark_case_id(kind, params))
 
 
 _MASK64 = (1 << 64) - 1

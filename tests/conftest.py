@@ -14,25 +14,13 @@ import time
 import pytest
 
 from dnt import RunConfig, TrainConfig, run_power_study
+from dnt.classical import STATISTIC_NAMES
 from dnt.lmnn import LmnnConfig
-from dnt.power import MethodBank, build_methods
+from dnt.power import METHOD_NAMES, MethodBank, build_methods
 from dnt.sampling import SeedScheme, case_spec, sample
 
 MASTER_SEED = 0
 NULL_CASE = 15
-ALL_METHODS = (
-    "DNT-raw",
-    "DNT-image",
-    "KS",
-    "AD",
-    "JB",
-    "GLB",
-    "GG",
-    "BS",
-    "PSNR",
-    "SSIM",
-)
-CLASSICAL_METHODS = ("KS", "AD", "JB", "GLB", "GG", "BS")
 
 
 def desk_train_config() -> TrainConfig:
@@ -51,7 +39,7 @@ def desk_train_config() -> TrainConfig:
 @pytest.fixture(scope="session")
 def full_run_config() -> RunConfig:
     return RunConfig(
-        methods=ALL_METHODS,
+        methods=METHOD_NAMES,
         reps=500,
         n=100,
         calibration_reps=20000,
@@ -98,7 +86,7 @@ def null_rates(full_run_config, full_bank):
 def classical_table():
     """1,000-rep power table for the six classical tests, plus seconds."""
     cfg = RunConfig(
-        methods=CLASSICAL_METHODS,
+        methods=STATISTIC_NAMES,
         reps=1000,
         n=100,
         calibration_reps=20000,

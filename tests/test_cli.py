@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from dnt import DistributionSpec, case_spec, load_model, parse_table, sample
+from dnt import DistributionSpec, RunConfig, case_spec, load_model, parse_table, sample
 from dnt.cli import (
     EXIT_BAD_FORMAT,
     EXIT_MISMATCH,
@@ -22,6 +22,7 @@ from dnt.cli import (
     EXIT_USAGE,
     entrypoint,
 )
+from dnt.power import build_methods
 
 TRAIN_LINES = """\
 # training settings for a small model
@@ -133,6 +134,42 @@ class TestTrainCommand:
             ["train", "--config", str(config), "--out", str(tmp_path / "m.json")]
         ) == EXIT_USAGE
         assert "config.h1_spec.params" in capsys.readouterr().err
+
+    def test_repeated_line_key_is_a_usage_error(self, tmp_path, capsys):
+        """A key=value file may set each key once; the error gives the line."""
+        config = tmp_path / "train.cfg"
+        for extra, where in (("n = 30\n", "line 10: repeated key 'n'"),
+                             ("lmnn.k = 6\n", "line 10: repeated key 'lmnn.k'"),
+                             ("h1_spec.kind = Normal\nh1_spec = t(5)\n",
+                              "line 11: repeated key 'h1_spec'")):
+            config.write_text(TRAIN_LINES + extra)
+            assert entrypoint(
+                ["train", "--config", str(config), "--out", str(tmp_path / "m.json")]
+            ) == EXIT_USAGE
+            assert where in capsys.readouterr().err
+
+    def test_repeated_json_key_is_a_usage_error(self, tmp_path, capsys):
+        """A JSON config may set each key once, at every nesting level."""
+        config = tmp_path / "train.json"
+        text = json.dumps(TRAIN_JSON)
+        for repeated, key in ((text[:-1] + ', "n": 30}', "'n'"),
+                              (text.replace('"k": 5', '"k": 5, "k": 6'), "'k'")):
+            config.write_text(repeated)
+            assert entrypoint(
+                ["train", "--config", str(config), "--out", str(tmp_path / "m.json")]
+            ) == EXIT_USAGE
+            assert f"repeated key {key}" in capsys.readouterr().err
+
+    def test_object_and_label_h1_spec_agree(self, tmp_path):
+        """A benchmark row written as an object trains the label's model."""
+        outputs = []
+        for lines in ("h1_spec = t(5)\n", "h1_spec.kind = StudentT\nh1_spec.params = 5\n"):
+            config = tmp_path / "train.cfg"
+            config.write_text(TRAIN_LINES + lines)
+            out = tmp_path / f"m{len(outputs)}.json"
+            assert entrypoint(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_dotted_h1_spec_trains(self, tmp_path):
         """h1_spec.kind and h1_spec.params lines build the alternative."""
@@ -342,16 +379,28 @@ class TestCalibrateCommand:
         assert 0.0 < first < 1.0
 
     def test_image_metrics_calibrate_too(self, capsys):
-        """SSIM cutoffs run through the same command."""
-        assert entrypoint(
-            ["calibrate", "--stat", "SSIM", "--n", "20", "--reps", "100", "--seed", "3"]
-        ) == EXIT_OK
-        assert float(capsys.readouterr().out) < 0.0
+        """PSNR and SSIM cutoffs run through the same command."""
+        for name in ("PSNR", "SSIM"):
+            assert entrypoint(
+                ["calibrate", "--stat", name, "--n", "20", "--reps", "100", "--seed", "3"]
+            ) == EXIT_OK
+            assert float(capsys.readouterr().out) < 0.0
+
+    @pytest.mark.parametrize("name", ["KS", "BS", "PSNR", "SSIM"])
+    def test_matches_the_bank_cutoff(self, name, capsys):
+        """The command and build_methods calibrate the same statistic."""
+        args = ["calibrate", "--stat", name, "--n", "20", "--reps", "200", "--seed", "3"]
+        assert entrypoint(args) == EXIT_OK
+        cfg = RunConfig(methods=(name,), n=20, calibration_reps=200, master_seed=3)
+        assert capsys.readouterr().out == f"{build_methods(cfg).cutoffs[name]}\n"
 
     def test_unknown_statistic_is_a_usage_error(self, capsys):
-        """A name outside the statistic and metric rosters fails."""
-        assert entrypoint(["calibrate", "--stat", "Shapiro", "--n", "20"]) == EXIT_USAGE
-        assert "Shapiro" in capsys.readouterr().err
+        """A name outside the calibrated methods fails and lists the valid ones."""
+        for name in ("Shapiro", "DNT-raw"):
+            assert entrypoint(["calibrate", "--stat", name, "--n", "20"]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert name in err
+            assert err.endswith("valid names are KS, AD, JB, GLB, GG, BS, PSNR, SSIM\n")
 
     def test_thin_calibration_is_a_usage_error(self):
         """The minimum replicate count is enforced."""
