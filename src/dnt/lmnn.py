@@ -8,6 +8,10 @@ projected gradient descent: after every step M is projected back onto
 the PSD cone by eigendecomposition. Triplets are built once from
 Euclidean neighborhoods and never re-mined, so the objective is fixed
 and accepted-step losses are non-increasing.
+
+Both terms are weighted sums over point pairs, so loss and gradient are
+computed in Gram/Laplacian form over the n training points (Weinberger &
+Saul, JMLR 10, 2009) with no per-pair or per-triplet difference array.
 """
 
 from __future__ import annotations
@@ -192,25 +196,17 @@ def build_triplets(
     dist_sq = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram, 0.0)
     order = np.argsort(dist_sq, axis=1, kind="stable")
 
-    pairs: list[tuple[int, int]] = []
-    triplets: list[tuple[int, int, int]] = []
-    pool = 3 * k
-    for i in range(n):
-        if y[i] not in focal_classes:
-            continue
+    pairs, triplets = [], []
+    for i in np.flatnonzero(np.isin(y, list(focal_classes))):
         row = order[i]
         row = row[row != i]
-        positives = [int(j) for j in row if y[j] == y[i]][:k]
-        impostors = [int(l) for l in row[:pool] if y[l] != y[i]]
-        for j in positives:
-            pairs.append((i, j))
-            for l in impostors:
-                triplets.append((i, j, l))
-    return TripletSet(
-        np.array(pairs, dtype=np.int64),
-        np.array(triplets, dtype=np.int64).reshape(-1, 3),
-        k,
-    )
+        positives = row[y[row] == y[i]][:k]
+        near = row[: 3 * k]
+        impostors = near[y[near] != y[i]]
+        pairs.append(np.column_stack([np.full_like(positives, i), positives]))
+        j_col = np.repeat(positives, impostors.size)
+        triplets.append(np.column_stack([np.full_like(j_col, i), j_col, np.tile(impostors, k)]))
+    return TripletSet(np.concatenate(pairs), np.concatenate(triplets), k)
 
 
 def _project_psd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,67 +220,55 @@ def _project_psd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Objective:
-    """Fixed triplet structure with loss and gradient evaluation."""
+    """Fixed triplet structure with loss and gradient in Gram/Laplacian form.
+
+    The edges are the pull pairs followed by the unique (focal, impostor)
+    pairs. An edge's squared distance is K[i,i] + K[j,j] - 2 K[i,j] for
+    the Gram matrix K of the mapped points. The gradient is X' L X, with
+    L the Laplacian of the edges weighted 1 + push_weight * (active
+    triplets) for pull pairs and -push_weight * (active triplets) for
+    impostor pairs. X is centred: a shift changes neither distances nor
+    X' L X, but a large common offset would drown K in rounding error.
+    """
 
     def __init__(self, x: np.ndarray, ts: TripletSet, push_weight: float, margin: float):
         self.push_weight = push_weight
         self.margin = margin
-        self.x = x
-        n = x.shape[0]
+        self.x = x - x.mean(axis=0)
+        self.n = n = x.shape[0]
         pi, pj = ts.pairs[:, 0], ts.pairs[:, 1]
-        self.pair_i, self.pair_j = pi, pj
-        self.pull_diffs = x[pi] - x[pj]
-        self.pull_gram = self.pull_diffs.T @ self.pull_diffs
-
-        if ts.triplets.shape[0]:
-            ti, tj, tl = ts.triplets[:, 0], ts.triplets[:, 1], ts.triplets[:, 2]
-            pair_codes = pi * n + pj
-            pair_order = np.argsort(pair_codes)
-            self.trip_pair_idx = pair_order[
-                np.searchsorted(pair_codes[pair_order], ti * n + tj)
-            ]
-            imp_codes, self.trip_imp_idx = np.unique(ti * n + tl, return_inverse=True)
-            ui, ul = imp_codes // n, imp_codes % n
-            self.imp_diffs = x[ui] - x[ul]
-        else:
-            self.trip_pair_idx = np.empty(0, dtype=np.int64)
-            self.trip_imp_idx = np.empty(0, dtype=np.int64)
-            self.imp_diffs = np.empty((0, x.shape[1]))
+        self.n_pairs = pi.size
+        ti, tj, tl = ts.triplets.T
+        pair_codes = pi * n + pj
+        pair_order = np.argsort(pair_codes)
+        self.trip_pair_idx = pair_order[np.searchsorted(pair_codes[pair_order], ti * n + tj)]
+        imp_codes, self.trip_imp_idx = np.unique(ti * n + tl, return_inverse=True)
+        self.edge_i = np.concatenate([pi, imp_codes // n])
+        self.edge_j = np.concatenate([pj, imp_codes % n])
 
     def evaluate(self, factor: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Loss at M = factor factor', plus active-triplet pair weights."""
         z = self.x @ factor
-        zp = z[self.pair_i] - z[self.pair_j]
-        pull_sq = np.einsum("ij,ij->i", zp, zp)
-        loss = float(pull_sq.sum())
-        if self.trip_pair_idx.size:
-            zi = self.imp_diffs @ factor
-            imp_sq = np.einsum("ij,ij->i", zi, zi)
-            hinge = self.margin + pull_sq[self.trip_pair_idx] - imp_sq[self.trip_imp_idx]
-            active = hinge > 0.0
-            loss += self.push_weight * float(hinge[active].sum())
-            w_pair = np.bincount(
-                self.trip_pair_idx[active], minlength=self.pair_i.size
-            ).astype(float)
-            w_imp = np.bincount(
-                self.trip_imp_idx[active], minlength=self.imp_diffs.shape[0]
-            ).astype(float)
-        else:
-            w_pair = np.zeros(self.pair_i.size)
-            w_imp = np.zeros(0)
+        gram = z @ z.T
+        i, j = self.edge_i, self.edge_j
+        edge_sq = gram[i, i] + gram[j, j] - 2.0 * gram[i, j]
+        pull_sq, imp_sq = edge_sq[: self.n_pairs], edge_sq[self.n_pairs :]
+        hinge = self.margin + pull_sq[self.trip_pair_idx] - imp_sq[self.trip_imp_idx]
+        active = hinge > 0.0
+        loss = float(pull_sq.sum()) + self.push_weight * float(hinge[active].sum())
+        w_pair = np.bincount(self.trip_pair_idx[active], minlength=self.n_pairs).astype(float)
+        w_imp = np.bincount(self.trip_imp_idx[active], minlength=imp_sq.size).astype(float)
         return loss, w_pair, w_imp
 
     def gradient(self, w_pair: np.ndarray, w_imp: np.ndarray) -> np.ndarray:
-        grad = self.pull_gram.copy()
-        hot = w_pair > 0.0
-        if np.any(hot):
-            d = self.pull_diffs[hot]
-            grad += self.push_weight * (d.T @ (d * w_pair[hot, None]))
-        hot = w_imp > 0.0
-        if np.any(hot):
-            d = self.imp_diffs[hot]
-            grad -= self.push_weight * (d.T @ (d * w_imp[hot, None]))
-        return grad
+        """Loss gradient in M, X' L X, at the given active-triplet weights."""
+        weights = np.concatenate([1.0 + self.push_weight * w_pair, -self.push_weight * w_imp])
+        codes = self.edge_i * self.n + self.edge_j
+        adjacency = np.bincount(codes, weights=weights, minlength=self.n * self.n)
+        adjacency = adjacency.reshape(self.n, self.n)
+        adjacency = adjacency + adjacency.T
+        laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+        return self.x.T @ (laplacian @ self.x)
 
 
 def train_metric(

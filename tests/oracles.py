@@ -262,3 +262,87 @@ def oracle_psnr(a: list[list[float]], b: list[list[float]]) -> float:
             mse += (a[r][c] - b[r][c]) ** 2
     mse /= rows * cols
     return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
+
+
+# ---------------------------------------------------------------------------
+# Large-margin metric learning: triplet structure and objective
+
+
+def _sq_euclid(a: list[float], b: list[float]) -> float:
+    return sum((u - v) ** 2 for u, v in zip(a, b))
+
+
+def oracle_triplets(
+    x: list[list[float]], labels: list[int], k: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """Pull pairs and push triplets from the neighborhood rule.
+
+    Focals are the points of every class with at least k+1 members, in
+    index order. Each focal ranks all other points by Euclidean distance,
+    ties toward the lower index. Its targets are the first k same-class
+    points of that ranking; its impostors are the different-class points
+    among the first 3k. Pairs are (focal, target) in target order, and
+    triplets are (focal, target, impostor) for each target in order, then
+    each impostor in order.
+    """
+    n = len(x)
+    pairs: list[tuple[int, int]] = []
+    triplets: list[tuple[int, int, int]] = []
+    for i in range(n):
+        if labels.count(labels[i]) < k + 1:
+            continue
+        others = [j for j in range(n) if j != i]
+        ranked = sorted(others, key=lambda j: (_sq_euclid(x[i], x[j]), j))
+        targets = [j for j in ranked if labels[j] == labels[i]][:k]
+        impostors = [l for l in ranked[: 3 * k] if labels[l] != labels[i]]
+        for j in targets:
+            pairs.append((i, j))
+            for l in impostors:
+                triplets.append((i, j, l))
+    return pairs, triplets
+
+
+def oracle_lmnn_objective(
+    x: list[list[float]],
+    pairs: list[tuple[int, int]],
+    triplets: list[tuple[int, int, int]],
+    m: list[list[float]],
+    push_weight: float,
+    margin: float,
+) -> tuple[float, list[list[float]]]:
+    """LMNN loss at metric M and its gradient in M, as explicit sums.
+
+    With d_ij = x_i - x_j and q_ij = d_ij' M d_ij:
+        loss = sum over pairs of q_ij
+             + push_weight * sum over triplets of max(0, margin + q_ij - q_il)
+    The gradient adds d_ij d_ij' for every pair, and
+    push_weight * (d_ij d_ij' - d_il d_il') for every triplet whose hinge
+    is positive.
+    """
+    dim = len(m)
+    grad = [[0.0] * dim for _ in range(dim)]
+
+    def diff(a: int, b: int) -> list[float]:
+        return [x[a][t] - x[b][t] for t in range(dim)]
+
+    def quad(d: list[float]) -> float:
+        return sum(d[r] * m[r][c] * d[c] for r in range(dim) for c in range(dim))
+
+    def add_outer(d: list[float], weight: float) -> None:
+        for r in range(dim):
+            for c in range(dim):
+                grad[r][c] += weight * d[r] * d[c]
+
+    loss = 0.0
+    for i, j in pairs:
+        d = diff(i, j)
+        loss += quad(d)
+        add_outer(d, 1.0)
+    for i, j, l in triplets:
+        d_ij, d_il = diff(i, j), diff(i, l)
+        hinge = margin + quad(d_ij) - quad(d_il)
+        if hinge > 0.0:
+            loss += push_weight * hinge
+            add_outer(d_ij, push_weight)
+            add_outer(d_il, -push_weight)
+    return loss, grad

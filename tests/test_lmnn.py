@@ -3,7 +3,9 @@
 Tests cover:
 - MetricMatrix validation and factoring
 - Mahalanobis distances under identity and learned metrics
-- triplet construction: target neighbors, impostors, ties, small classes
+- triplet construction: target neighbors, impostors, ties, small classes,
+  and agreement with a plain-loop oracle
+- the training objective's loss and gradient against explicit sums
 - trainer edge cases (zero iterations, config validation)
 - the feature-space transform
 """
@@ -11,6 +13,7 @@ Tests cover:
 from __future__ import annotations
 
 import numpy as np
+import oracles
 import pytest
 
 from dnt.errors import InsufficientDataError, InvalidArgumentError
@@ -19,6 +22,7 @@ from dnt.lmnn import (
     LmnnConfig,
     MetricMatrix,
     TripletSet,
+    _Objective,
     build_triplets,
     mahalanobis_distance,
     train_metric,
@@ -89,6 +93,14 @@ class TestMahalanobisDistance:
             mahalanobis_distance(np.zeros(2), np.zeros(3), MetricMatrix.identity(2))
 
 
+def _assert_matches_triplet_oracle(x: np.ndarray, labels: np.ndarray, k: int) -> TripletSet:
+    ts = build_triplets(x, labels, k)
+    pairs, triplets = oracles.oracle_triplets(x.tolist(), labels.tolist(), k)
+    assert ts.pairs.tolist() == [list(p) for p in pairs]
+    assert ts.triplets.tolist() == [list(t) for t in triplets]
+    return ts
+
+
 class TestBuildTriplets:
     """Static neighbor/impostor structure."""
 
@@ -141,11 +153,91 @@ class TestBuildTriplets:
         with pytest.raises(InsufficientDataError):
             build_triplets(x, np.array([0, 1]), k=1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_oracle_on_random_problems(self, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(20 + 5 * seed, 3))
+        labels = rng.integers(0, 2, size=x.shape[0])
+        _assert_matches_triplet_oracle(x, labels, k=1 + seed)
+
+    def test_matches_oracle_with_distance_ties(self) -> None:
+        """Integer lattice points, each twice: exact distance ties everywhere."""
+        grid = [[float(a), float(b)] for a in range(-2, 3) for b in range(-2, 3)]
+        x = np.array(grid * 2)
+        labels = np.random.default_rng(5).integers(0, 2, size=x.shape[0])
+        _assert_matches_triplet_oracle(x, labels, k=3)
+
+    def test_matches_oracle_when_a_class_is_too_small(self) -> None:
+        """Two class-1 points cannot be focals at k=3 but remain impostors."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(16, 2))
+        labels = np.array([0] * 14 + [1] * 2)
+        ts = _assert_matches_triplet_oracle(x, labels, k=3)
+        assert set(ts.pairs[:, 0]) == set(range(14))
+
     def test_triplet_set_validation(self) -> None:
         with pytest.raises(InvalidArgumentError):
             TripletSet(np.empty((0, 2), dtype=int), np.empty((0, 3), dtype=int), k=1)
         with pytest.raises(InvalidArgumentError):
             TripletSet(np.array([[0, 1]]), np.array([[0, 1]]), k=1)
+
+
+def _two_class_problem(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    x = np.vstack([rng.normal(size=(12, 3)), rng.normal(size=(12, 3)) + 1.0])
+    return x, np.array([0] * 12 + [1] * 12)
+
+
+class TestObjective:
+    """Loss and gradient agree with per-pair and per-triplet sums."""
+
+    @staticmethod
+    def check(
+        x: np.ndarray, labels: np.ndarray, k: int, push_weight: float = 1.0, margin: float = 1.0
+    ) -> TripletSet:
+        """Compare evaluate() and gradient() with the oracle at M = F F'."""
+        ts = build_triplets(x, labels, k)
+        factor = np.random.default_rng(7).normal(size=(x.shape[1], x.shape[1]))
+        objective = _Objective(x, ts, push_weight, margin)
+        loss, w_pair, w_imp = objective.evaluate(factor)
+        grad = objective.gradient(w_pair, w_imp)
+        want_loss, want_grad = oracles.oracle_lmnn_objective(
+            x.tolist(),
+            ts.pairs.tolist(),
+            ts.triplets.tolist(),
+            (factor @ factor.T).tolist(),
+            push_weight,
+            margin,
+        )
+        want = np.array(want_grad)
+        assert loss == pytest.approx(want_loss, rel=1e-10)
+        assert np.max(np.abs(grad - want)) <= 1e-10 * np.max(np.abs(want))
+        return ts
+
+    def test_random_problem(self) -> None:
+        x, labels = _two_class_problem(8)
+        ts = self.check(x, labels, k=2)
+        assert ts.triplets.shape[0] > 0
+
+    def test_duplicated_rows(self) -> None:
+        x, labels = _two_class_problem(9)
+        self.check(np.vstack([x, x[::3]]), np.concatenate([labels, labels[::3]]), k=2)
+
+    def test_large_common_offset(self) -> None:
+        """A 1e6 shift on every feature leaves loss and gradient unchanged."""
+        x, labels = _two_class_problem(10)
+        self.check(x + 1e6, labels, k=2)
+
+    def test_push_weight_and_margin(self) -> None:
+        x, labels = _two_class_problem(11)
+        self.check(x, labels, k=2, push_weight=2.5, margin=0.5)
+
+    def test_no_triplets(self) -> None:
+        """Far-apart clusters: no impostor in any 3k-neighborhood."""
+        x, labels = _two_class_problem(12)
+        x[labels == 1] += 1000.0
+        ts = self.check(x, labels, k=2)
+        assert ts.triplets.shape[0] == 0
 
 
 class TestTrainMetric:
