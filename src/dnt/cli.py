@@ -8,6 +8,7 @@ model file, 5 model incompatible with the supplied data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -162,6 +163,7 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, then shared by every call in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnt",
@@ -204,8 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def entrypoint(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, and map errors to exit codes."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError) as exc:

@@ -5,12 +5,16 @@ null vectors closest to the pool centroid, selects separating
 features, learns a metric, and calibrates a rejection cutoff from the
 squared metric distances of the whole null pool to the kept-null
 centroid. Testing maps a new sample through the same pipeline and
-rejects when its squared distance exceeds the cutoff. Models persist
-as canonical JSON whose numeric fields round-trip bit-exactly.
+rejects when its squared distance exceeds the cutoff; its Monte-Carlo
+p-value counts the null distances at or above the statistic. Models
+persist as canonical JSON: scalars are JSON numbers, and every array is
+stored as exact binary, base64 of its little-endian float64 or int64
+bytes, so a save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -64,7 +68,7 @@ __all__ = [
     "config_from_dict",
 ]
 
-MODEL_FORMAT_VERSION = "dnt-model-v1"
+MODEL_FORMAT_VERSION = "dnt-model-v2"
 
 _NULL_CASE = 15
 
@@ -121,12 +125,18 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of one test: the statistic, the cutoff it faced, the call."""
+    """Outcome of one test: the statistic, the cutoff it faced, the call.
+
+    p_value is the Monte-Carlo p-value (1 + #{null >= statistic}) / (N + 1)
+    over the model's N null distances (North, Curtis & Sham, AJHG 71:439,
+    2002); the verdict stays statistic > cutoff.
+    """
 
     statistic: float
     cutoff: float
     reject: bool
     alpha: float
+    p_value: float | None = None
 
     def __post_init__(self) -> None:
         if self.reject != (self.statistic > self.cutoff):
@@ -137,6 +147,7 @@ class TestReport:
         return (
             f"{verdict} normality: statistic={self.statistic:.6g} "
             f"cutoff={self.cutoff:.6g} alpha={self.alpha:g}"
+            + ("" if self.p_value is None else f" p={self.p_value:.6g}")
         )
 
 
@@ -304,11 +315,14 @@ def dnt_test(x: Sample | np.ndarray, model: DNTModel) -> TestReport:
     selected = apply_selection(features, model.selection)
     delta = selected.values - model.centroid
     statistic = float(max(delta @ model.metric.matrix @ delta, 0.0))
+    null = model.null_distances
+    at_or_above = null.size - int(np.searchsorted(null, statistic, side="left"))
     return TestReport(
         statistic=statistic,
         cutoff=model.cutoff,
         reject=statistic > model.cutoff,
         alpha=model.alpha,
+        p_value=(1 + at_or_above) / (null.size + 1),
     )
 
 
@@ -408,20 +422,30 @@ def _noncanonical_key(canonical, raw, where: str) -> str | None:
 # Persistence
 
 
+# Model arrays are stored in these explicit little-endian dtypes, never native order.
+_FLOAT, _INT = np.dtype("<f8"), np.dtype("<i8")
+
+
+def _encode(values: np.ndarray, dtype: np.dtype) -> str:
+    """Base64 (RFC 4648, padded) of the array's bytes in dtype, row-major."""
+    raw = np.asarray(values, dtype=dtype).tobytes()
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
 def save_model(model: DNTModel, path: str) -> None:
-    """Write the model as canonical JSON (sorted keys, exact floats)."""
+    """Write the model as canonical JSON (sorted keys, binary arrays)."""
     payload = {
         "format": MODEL_FORMAT_VERSION,
         "extractor_id": model.extractor_id,
         "n": model.n,
         "alpha": model.alpha,
         "selection": {
-            "scores": model.selection.scores.tolist(),
-            "mask": model.selection.mask.tolist(),
+            "scores": _encode(model.selection.scores, _FLOAT),
+            "mask": _encode(model.selection.mask, _INT),
         },
-        "metric": model.metric.matrix.reshape(-1).tolist(),
-        "centroid": model.centroid.tolist(),
-        "null_distances": model.null_distances.tolist(),
+        "metric": _encode(model.metric.matrix, _FLOAT),
+        "centroid": _encode(model.centroid, _FLOAT),
+        "null_distances": _encode(model.null_distances, _FLOAT),
         "cutoff": model.cutoff,
         "config": config_to_dict(model.config),
     }
@@ -448,19 +472,27 @@ class _Reader:
             value = float(value)
         if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
             raise FormatError(f"{self.where}.{key}: expected {kind.__name__}")
+        if kind is float and not math.isfinite(value):  # an overflowing literal such as 1e400
+            raise FormatError(f"{self.where}.{key}: expected a finite number, got {value!r}")
         return value
 
-    def vector(self, key: str) -> np.ndarray:
-        raw = self.get(key, list)
+    def array(self, key: str, dtype: np.dtype = _FLOAT) -> np.ndarray:
+        """A native-order copy of a base64 array field; floats must be finite."""
+        where = f"{self.where}.{key}"
+        if not isinstance(self.payload.get(key, ""), str):
+            raise FormatError(f"{where}: expected a base64 string of {dtype.str} values")
         try:
-            arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
-            raise FormatError(f"{self.where}.{key}: expected a numeric array") from None
-        if arr.ndim != 1:
-            raise FormatError(f"{self.where}.{key}: expected a flat numeric array")
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"{self.where}.{key}: values must be finite")
-        return arr
+            raw = binascii.a2b_base64(self.get(key, str), strict_mode=True)
+        except ValueError as exc:  # binascii.Error, or non-ASCII text
+            raise FormatError(f"{where}: not strict base64 ({exc})") from None
+        if len(raw) % dtype.itemsize:
+            raise FormatError(
+                f"{where}: {len(raw)} bytes is not a whole number of {dtype.itemsize}-byte values"
+            )
+        values = np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
+        if dtype.kind == "f" and not np.all(np.isfinite(values)):
+            raise FormatError(f"{where}: holds a NaN or infinite value")
+        return values
 
 
 def _reject_constant(token: str):
@@ -478,7 +510,8 @@ def load_model(path: str) -> DNTModel:
     version = root.get("format", str)
     if version != MODEL_FORMAT_VERSION:
         raise UnsupportedVersionError(
-            f"model.format: {version!r} is not supported (expected {MODEL_FORMAT_VERSION!r})"
+            f"model.format: {version!r} is not supported (expected {MODEL_FORMAT_VERSION!r}); "
+            "retrain the model with `dnt train` from the config block of this file"
         )
     raw_config = root.get("config", dict)
     try:
@@ -491,10 +524,9 @@ def load_model(path: str) -> DNTModel:
     selection_reader = _Reader(root.get("selection", dict), "model.selection")
     try:
         selection = SelectionModel(
-            selection_reader.vector("scores"),
-            selection_reader.vector("mask").astype(int),
+            selection_reader.array("scores"), selection_reader.array("mask", _INT)
         )
-        metric_flat = root.vector("metric")
+        metric_flat = root.array("metric")
         dim = int(round(math.isqrt(metric_flat.size)))
         if dim * dim != metric_flat.size:
             raise FormatError("model.metric: length is not a perfect square")
@@ -503,8 +535,8 @@ def load_model(path: str) -> DNTModel:
             extractor_id=root.get("extractor_id", str),
             selection=selection,
             metric=metric,
-            centroid=root.vector("centroid"),
-            null_distances=root.vector("null_distances"),
+            centroid=root.array("centroid"),
+            null_distances=root.array("null_distances"),
             cutoff=root.get("cutoff", float),
             alpha=root.get("alpha", float),
             n=root.get("n", int),

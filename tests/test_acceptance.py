@@ -292,11 +292,17 @@ def test_determinism_and_persistence(tmp_path, capsys) -> None:
     save_model(model, str(first_path))
     loaded = load_model(str(first_path))
     save_model(loaded, str(second_path))
+    # Bit-exact: same dtype and bytes (so -0.0 and every last bit survive).
+    pairs = [
+        (model.selection.scores, loaded.selection.scores),
+        (model.selection.mask, loaded.selection.mask),
+        (model.metric.matrix, loaded.metric.matrix),
+        (model.centroid, loaded.centroid),
+        (model.null_distances, loaded.null_distances),
+    ]
     model_ok = (
         first_path.read_bytes() == second_path.read_bytes()
-        and np.array_equal(model.centroid, loaded.centroid)
-        and np.array_equal(model.null_distances, loaded.null_distances)
-        and np.array_equal(model.metric.matrix, loaded.metric.matrix)
+        and all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
         and model.cutoff == loaded.cutoff
     )
 

@@ -8,11 +8,22 @@ mismatch.
 
 from __future__ import annotations
 
+import base64
 import json
+import re
 
+import numpy as np
 import pytest
 
-from dnt import DistributionSpec, RunConfig, case_spec, load_model, parse_table, sample
+from dnt import (
+    DistributionSpec,
+    RunConfig,
+    case_spec,
+    dnt_test,
+    load_model,
+    parse_table,
+    sample,
+)
 from dnt.cli import (
     EXIT_BAD_FORMAT,
     EXIT_MISMATCH,
@@ -223,9 +234,11 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("field", ["centroid", "null_distances"])
     def test_nan_in_model_is_a_format_error(self, model_path, tmp_path, field, capsys):
-        """A NaN array entry maps to the bad-format code, not to silent accepts."""
+        """A NaN inside an array's base64 maps to the bad-format code, not to silent accepts."""
         payload = json.loads(model_path.read_text())
-        payload[field][0] = float("nan")
+        values = np.frombuffer(base64.b64decode(payload[field]), dtype="<f8").copy()
+        values[0] = np.nan
+        payload[field] = base64.b64encode(values.tobytes()).decode("ascii")
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
         data = tmp_path / "heavy.txt"
@@ -234,6 +247,36 @@ class TestTestCommand:
             ["test", "--model", str(model), "--data", str(data)]
         ) == EXIT_BAD_FORMAT
         assert "NaN" in capsys.readouterr().err
+
+    def test_v1_model_is_refused_and_its_config_retrains_it(self, model_path, tmp_path, capsys):
+        """A v1 file exits 4 naming both versions; `dnt train` on its config block rebuilds it."""
+        payload = json.loads(model_path.read_text())
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(dict(payload, format="dnt-model-v1")))
+        data = tmp_path / "null.txt"
+        write_sample(data, case_id=15)
+        assert entrypoint(["test", "--model", str(old), "--data", str(data)]) == EXIT_BAD_FORMAT
+        err = capsys.readouterr().err
+        assert "'dnt-model-v1'" in err and "'dnt-model-v2'" in err and "dnt train" in err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload["config"]))
+        out = tmp_path / "retrained.json"
+        assert entrypoint(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == model_path.read_bytes()
+
+    @pytest.mark.parametrize("case_id", [15, 11])
+    def test_summary_reports_the_p_value(self, model_path, tmp_path, capsys, case_id):
+        """The verdict line ends in the Monte-Carlo p-value of the statistic."""
+        data = tmp_path / "x.txt"
+        write_sample(data, case_id=case_id, seed=3)
+        entrypoint(["test", "--model", str(model_path), "--data", str(data)])
+        line = capsys.readouterr().out
+        match = re.fullmatch(
+            r"(reject|accept) normality: statistic=(\S+) cutoff=(\S+) alpha=0\.05 p=(\S+)\n", line
+        )
+        assert match is not None, line
+        report = dnt_test(sample(case_spec(case_id), 20, seed=3), load_model(str(model_path)))
+        assert match.group(4) == f"{report.p_value:.6g}"
 
     def test_malformed_data_line(self, model_path, tmp_path, capsys):
         """A non-numeric or non-finite line is located by file and line number."""
@@ -421,3 +464,15 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit) as exc:
             entrypoint(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_repeated_calls_share_one_parser(self, capsys):
+        """Help and usage errors behave the same on every call in one process."""
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                entrypoint(["test", "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: dnt test [-h] --model MODEL")
+            with pytest.raises(SystemExit) as exc:
+                entrypoint(["test", "--model", "m.json"])
+            assert exc.value.code == 2
+            assert "--data" in capsys.readouterr().err

@@ -2,12 +2,13 @@
 
 Covers TrainConfig validation, the train/dnt_test cycle at desk scale,
 calibrate_cutoff rank semantics against a hand-rolled replay of the
-calibration stream, TestReport invariants, and the JSON model format
-including its failure modes.
+calibration stream, TestReport invariants and p-values, and the JSON
+model format with its base64 binary arrays, including its failure modes.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -22,10 +23,12 @@ from dnt import (
     FormatError,
     InvalidArgumentError,
     LmnnConfig,
+    MetricMatrix,
     ModelMismatchError,
     RunConfig,
     Sample,
     SeedScheme,
+    SelectionModel,
     TestReport,
     TrainConfig,
     UnsupportedVersionError,
@@ -61,6 +64,16 @@ def tiny_config(**overrides) -> TrainConfig:
     )
     settings.update(overrides)
     return TrainConfig(**settings)
+
+
+def _arrays(m: DNTModel) -> tuple[np.ndarray, ...]:
+    """Every array a model file stores, in file order."""
+    return (m.selection.scores, m.selection.mask, m.metric.matrix, m.centroid, m.null_distances)
+
+
+def _saved_payload(m: DNTModel, path) -> dict:
+    save_model(m, str(path))
+    return json.loads(path.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +323,28 @@ class TestDntTest:
         with pytest.raises(ModelMismatchError):
             dnt_test(x, model)
 
+    def test_p_value_counts_null_distances_at_or_above(self, model):
+        """p = (1 + #{null >= statistic}) / (N + 1), checked by a plain loop."""
+        x = sample(case_spec(15), 20, seed=5)
+        stat = dnt_test(x, model).statistic
+        nulls = [
+            model.null_distances,
+            np.array([stat / 4, stat / 2, stat, stat, stat, stat * 2]),  # ties at the statistic
+            np.linspace(stat / 100, stat / 2, 30),  # statistic beyond the largest null value
+            np.linspace(stat * 2, stat * 3, 30),  # statistic below every null value
+        ]
+        for null in nulls:
+            rank = math.ceil((1.0 - model.alpha) * null.size - 1e-9)
+            edited = dataclasses.replace(model, null_distances=null, cutoff=float(null[rank - 1]))
+            report = dnt_test(x, edited)
+            assert report.statistic == stat
+            at_or_above = 0
+            for value in null:
+                if value >= stat:
+                    at_or_above += 1
+            assert report.p_value == (1 + at_or_above) / (null.size + 1)
+        assert report.p_value == 1.0
+
     def test_skewed_samples_score_farther_than_null(self, model):
         """Strongly non-normal data lands farther from the centroid."""
         null_scores = [
@@ -458,6 +493,8 @@ class TestPersistence:
         assert np.array_equal(loaded.null_distances, model.null_distances)
         assert loaded.cutoff == model.cutoff
         assert loaded.config == model.config
+        for got, want in zip(_arrays(loaded), _arrays(model)):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
     def test_loaded_model_scores_identically(self, model, tmp_path):
         """A reloaded model reproduces the original verdicts."""
@@ -537,17 +574,100 @@ class TestPersistence:
             load_model(str(path))
 
     @pytest.mark.parametrize("field", ["centroid", "null_distances"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, "1e400"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_numbers_are_rejected(self, model, tmp_path, field, value):
-        """NaN, Infinity and overflowing literals never load."""
+        """NaN and infinite bit patterns inside an array's base64 never load."""
         path = tmp_path / "model.json"
-        save_model(model, str(path))
-        payload = json.loads(path.read_text())
-        payload[field][0] = "@"
-        literal = value if isinstance(value, str) else json.dumps(value)
-        path.write_text(json.dumps(payload).replace('"@"', literal))
-        with pytest.raises(FormatError):
+        payload = _saved_payload(model, path)
+        values = np.frombuffer(base64.b64decode(payload[field]), dtype="<f8").copy()
+        values[0] = value
+        payload[field] = base64.b64encode(values.tobytes()).decode("ascii")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"model.{field}: holds a NaN or infinite value"):
             load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "literal, match",
+        [
+            pytest.param("1e400", "model.cutoff: expected a finite number", id="1e400"),
+            pytest.param("-1e400", "model.cutoff: expected a finite number", id="-1e400"),
+            pytest.param("NaN", "non-finite number NaN", id="NaN"),
+        ],
+    )
+    def test_non_finite_scalars_are_rejected(self, model, tmp_path, literal, match):
+        """An overflowing literal or a NaN in the scalar cutoff never loads."""
+        path = tmp_path / "model.json"
+        payload = _saved_payload(model, path)
+        payload["cutoff"] = "@"
+        path.write_text(json.dumps(payload).replace('"@"', literal))
+        with pytest.raises(FormatError, match=match):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "where, text, match",
+        [
+            pytest.param("centroid", "AAAAAAAAAA==", "7 bytes", id="float-length"),
+            pytest.param("selection.mask", "AQAAAAAAAAACAAAA", "12 bytes", id="int-length"),
+            pytest.param("centroid", "AAAA*AAA", "not strict base64", id="alphabet"),
+            pytest.param("metric", "AAAAAAAA8D8", "Incorrect padding", id="missing-padding"),
+            pytest.param("null_distances", "AAAAAAAA8D8==", "not strict base64", id="excess-padding"),
+            pytest.param("selection.scores", "AAAA AAA", "not strict base64", id="whitespace"),
+            pytest.param("centroid", "AAAAAAAA8D\u00e9", "not strict base64", id="non-ascii"),
+            pytest.param("centroid", [1.0, 2.0], "expected a base64 string", id="json-list"),
+            pytest.param("selection.mask", 3, "expected a base64 string", id="json-number"),
+        ],
+    )
+    def test_corrupt_array_is_a_located_format_error(self, model, tmp_path, where, text, match):
+        """Bad base64, a ragged byte length or a non-string array names its field."""
+        path = tmp_path / "model.json"
+        payload = _saved_payload(model, path)
+        *parents, key = where.split(".")
+        node = payload
+        for parent in parents:
+            node = node[parent]
+        node[key] = text
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"model.{where}: .*{match}"):
+            load_model(str(path))
+
+    def test_v1_file_is_refused_with_a_retrain_hint(self, model, tmp_path):
+        """A decimal-array v1 file is refused with a hint to retrain from its config."""
+        path = tmp_path / "model.json"
+        payload = _saved_payload(model, path)
+        v1 = dict(
+            payload,
+            format="dnt-model-v1",
+            selection={"scores": model.selection.scores.tolist(),
+                       "mask": model.selection.mask.tolist()},
+            metric=model.metric.matrix.reshape(-1).tolist(),
+            centroid=model.centroid.tolist(),
+            null_distances=model.null_distances.tolist(),
+        )
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(v1, sort_keys=True))
+        with pytest.raises(
+            UnsupportedVersionError, match="'dnt-model-v1'.*'dnt-model-v2'.*dnt train.*config"
+        ):
+            load_model(str(old))
+
+    def test_arrays_are_little_endian_base64(self, tmp_path):
+        """<f8 1.0 is AAAAAAAA8D8=, <i8 1 is AQAAAAAAAAA=, and -0.0 keeps its sign."""
+        base = train(tiny_config(d=1))
+        pinned = dataclasses.replace(
+            base,
+            selection=SelectionModel(base.selection.scores, np.array([1])),
+            metric=MetricMatrix.identity(1),
+            centroid=np.array([-0.0]),
+        )
+        path = tmp_path / "model.json"
+        payload = _saved_payload(pinned, path)
+        assert payload["metric"] == "AAAAAAAA8D8="
+        assert payload["centroid"] == "AAAAAAAAAIA="
+        assert payload["selection"]["mask"] == "AQAAAAAAAAA="
+        loaded = load_model(str(path))
+        assert loaded.centroid.tobytes() == np.array([-0.0]).tobytes()
+        for got, want in zip(_arrays(loaded), _arrays(pinned)):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
     @pytest.mark.parametrize("key, value", [("n", 30), ("alpha", 0.1), ("extractor", "ImageGrid")])
     def test_config_must_match_the_model(self, model, tmp_path, key, value):
