@@ -481,10 +481,15 @@ class _Reader:
         where = f"{self.where}.{key}"
         if not isinstance(self.payload.get(key, ""), str):
             raise FormatError(f"{where}: expected a base64 string of {dtype.str} values")
+        text = self.get(key, str)
         try:
-            raw = binascii.a2b_base64(self.get(key, str), strict_mode=True)
+            raw = binascii.a2b_base64(text, strict_mode=True)
         except ValueError as exc:  # binascii.Error, or non-ASCII text
             raise FormatError(f"{where}: not strict base64 ({exc})") from None
+        # Unused bits of a padded final quartet must be zero: its bytes re-encode to it.
+        tail, pad = text[-4:], text[-4:].count("=")
+        if pad and binascii.b2a_base64(raw[pad - 3 :], newline=False) != tail.encode():
+            raise FormatError(f"{where}: not canonical base64 (nonzero unused bits in {tail!r})")
         if len(raw) % dtype.itemsize:
             raise FormatError(
                 f"{where}: {len(raw)} bytes is not a whole number of {dtype.itemsize}-byte values"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .qq import RASTER_SIZE, QQRaster
-from .sampling import Sample, standardize
+from .sampling import Sample, standardized_values
 
 __all__ = [
     "EXTRACTOR_IDS",
@@ -33,6 +33,11 @@ EXTRACTOR_IDS = ("RawOrder", "ImageGrid")
 _CELL = 16
 _GRID = RASTER_SIZE // _CELL
 IMAGE_GRID_LENGTH = _GRID * _GRID * 3 + 4
+_INDEX = np.arange(RASTER_SIZE)
+# _BLOCK[g, i] is 1 when pixel row/column i lies in cell g; _INNER[g, j]
+# is 1 when forward difference j lies inside cell g.
+_BLOCK = (np.arange(_GRID)[:, None] == _INDEX // _CELL).astype(float)
+_INNER = _BLOCK[:, :-1] * (_INDEX[:-1] % _CELL != _CELL - 1)
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class SelectionModel:
 
 def extract_raw(x: Sample | np.ndarray) -> FeatureVector:
     """Sorted standardized sample as the feature vector (length n)."""
-    return FeatureVector(np.sort(standardize(x).values), "RawOrder")
+    return FeatureVector(np.sort(standardized_values(x)), "RawOrder")
 
 
 def extract_image(r: QQRaster) -> FeatureVector:
@@ -112,21 +117,21 @@ def extract_image(r: QQRaster) -> FeatureVector:
     difference, mean absolute vertical forward difference. Global:
     mean, population sd, and the mean row and column index of the
     point-level (intensity 1.0) pixels, 0.0 when there are none.
+
+    Cell sums are block sums ``_BLOCK @ X @ _BLOCK.T``; ``_INNER`` drops
+    the differences across cell boundaries. Raster pixels are 0, 0.5 or
+    1, so every sum is exact and each mean is one rounding of it.
     """
     pixels = r.pixels
-    cells = pixels.reshape(_GRID, _CELL, _GRID, _CELL).transpose(0, 2, 1, 3)
-    mean_cell = cells.mean(axis=(2, 3))
-    hdiff = np.abs(np.diff(cells, axis=3)).mean(axis=(2, 3))
-    vdiff = np.abs(np.diff(cells, axis=2)).mean(axis=(2, 3))
-    per_cell = np.stack([mean_cell, hdiff, vdiff], axis=2).reshape(-1)
+    cell_mean = _BLOCK @ pixels @ _BLOCK.T / (_CELL * _CELL)
+    hdiff = _BLOCK @ np.abs(pixels[:, 1:] - pixels[:, :-1]) @ _INNER.T / (_CELL * (_CELL - 1))
+    vdiff = _INNER @ np.abs(pixels[1:] - pixels[:-1]) @ _BLOCK.T / (_CELL * (_CELL - 1))
+    per_cell = np.stack([cell_mean, hdiff, vdiff], axis=2).reshape(-1)
 
-    points_r, points_c = np.nonzero(pixels == 1.0)
-    if points_r.size:
-        row_mean = float(points_r.mean())
-        col_mean = float(points_c.mean())
-    else:
-        row_mean = 0.0
-        col_mean = 0.0
+    point = pixels == 1.0
+    count = point.sum()
+    row_mean = float(point.sum(axis=1) @ _INDEX / count) if count else 0.0
+    col_mean = float(point.sum(axis=0) @ _INDEX / count) if count else 0.0
     global_stats = np.array([pixels.mean(), pixels.std(), row_mean, col_mean])
     return FeatureVector(np.concatenate([per_cell, global_stats]), "ImageGrid")
 

@@ -1,9 +1,8 @@
-"""Standard normal CDF, quantile, and log-tail helpers.
+"""Standard normal CDF and quantile helpers.
 
 These wrap ``scipy.special`` so the rest of the package has a single
-place that fixes numerical conventions: vectorised evaluation, strict
-domain checks for the quantile, and a log-tail form that stays finite
-far into the tails where ``1 - cdf(z)`` underflows.
+place that fixes numerical conventions: vectorised evaluation and
+strict domain checks for the quantile.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from scipy import special
 
 from .errors import InvalidArgumentError
 
-__all__ = ["normal_cdf", "normal_quantile", "normal_log_tail"]
+__all__ = ["normal_cdf", "normal_quantile"]
 
 
 def normal_cdf(z: np.ndarray | float) -> np.ndarray | float:
@@ -35,13 +34,3 @@ def normal_quantile(p: np.ndarray | float) -> np.ndarray | float:
     out = special.ndtri(arr)
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
-
-def normal_log_tail(z: np.ndarray | float) -> np.ndarray | float:
-    """Return log(1 - Phi(z)) elementwise, finite for large positive z.
-
-    Uses the identity 1 - Phi(z) = Phi(-z) and scipy's log-CDF, which
-    switches to an asymptotic expansion instead of underflowing.
-    """
-    return special.log_ndtr(-np.asarray(z, dtype=float)) if not np.isscalar(z) else float(
-        special.log_ndtr(-z)
-    )

@@ -25,6 +25,7 @@ __all__ = [
     "parse_distribution_label",
     "sample",
     "standardize",
+    "standardized_values",
     "sample_moments",
 ]
 
@@ -292,16 +293,20 @@ def _as_values(x: Sample | np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def standardize(x: Sample | np.ndarray) -> Sample:
-    """Center and scale to mean 0, population (1/n) standard deviation 1."""
+def standardized_values(x: Sample | np.ndarray) -> np.ndarray:
+    """The values of ``standardize(x)`` as a plain array, with no Sample built."""
     values = _as_values(x)
     sd = float(values.std())
     if sd == 0.0:
         raise InsufficientDataError("degenerate sample: zero variance")
-    out = (values - values.mean()) / sd
+    return (values - values.mean()) / sd
+
+
+def standardize(x: Sample | np.ndarray) -> Sample:
+    """Center and scale to mean 0, population (1/n) standard deviation 1."""
     spec = x.spec if isinstance(x, Sample) else None
     seed = x.seed if isinstance(x, Sample) else None
-    return Sample(out, spec=spec, seed=seed)
+    return Sample(standardized_values(x), spec=spec, seed=seed)
 
 
 def sample_moments(x: Sample | np.ndarray) -> tuple[float, float, float, float]:

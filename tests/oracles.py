@@ -207,6 +207,97 @@ def oracle_bs(xs: list[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Q-Q rasters and ImageGrid features, per point and per pixel
+
+RASTER = 128
+
+
+def _line_pixels(r0: int, c0: int, r1: int, c1: int) -> list[tuple[int, int]]:
+    """Bresenham's integer line from (r0, c0) to (r1, c1), inclusive."""
+    dr, dc = abs(r1 - r0), abs(c1 - c0)
+    step_r = 1 if r1 >= r0 else -1
+    step_c = 1 if c1 >= c0 else -1
+    err = dc - dr
+    r, c = r0, c0
+    out = [(r, c)]
+    while (r, c) != (r1, c1):
+        e2 = 2 * err
+        if e2 > -dr:
+            err -= dr
+            c += step_c
+        if e2 < dc:
+            err += dc
+            r += step_r
+        out.append((r, c))
+    return out
+
+
+def oracle_rasterize(
+    theoretical: list[float], empirical: list[float]
+) -> tuple[list[list[float]], tuple[float, float]]:
+    """The 128x128 Q-Q image and its shared axis range.
+
+    Background 0.0; the anchor line from the bottom-left to the top-right
+    corner at 0.5; then, for each point, every pixel whose center lies
+    within 1.5 px of the point's mapped location at 1.0. Both axes span
+    [min - 5% spread, max + 5% spread] over all coordinates, and row 0 is
+    the top of the image.
+    """
+    coords = list(theoretical) + list(empirical)
+    low, high = min(coords), max(coords)
+    spread = high - low
+    lo = low - 0.05 * spread
+    hi = high + 0.05 * spread
+    last = RASTER - 1
+    scale = last / (hi - lo)
+    pixels = [[0.0] * RASTER for _ in range(RASTER)]
+    for r, c in _line_pixels(last, 0, 0, last):
+        pixels[r][c] = 0.5
+    for t, e in zip(theoretical, empirical):
+        col = (t - lo) * scale
+        row = last - (e - lo) * scale
+        for r in range(max(0, math.floor(row - 1.5)), min(last, math.ceil(row + 1.5)) + 1):
+            for c in range(max(0, math.floor(col - 1.5)), min(last, math.ceil(col + 1.5)) + 1):
+                if (r - row) * (r - row) + (c - col) * (c - col) <= 1.5 * 1.5:
+                    pixels[r][c] = 1.0
+    return pixels, (lo, hi)
+
+
+def oracle_extract_image(pixels: list[list[float]]) -> list[float]:
+    """ImageGrid features: three statistics per 16x16 cell, then four globals.
+
+    Per cell, in row-major cell order: mean intensity, mean |forward
+    difference| along each row, mean |forward difference| down each
+    column, both over the differences inside the cell. Globals: mean,
+    population sd, and the mean row and column index of the pixels equal
+    to 1.0 (0.0 when there are none).
+    """
+    cell = 16
+    out: list[float] = []
+    for top in range(0, RASTER, cell):
+        for left in range(0, RASTER, cell):
+            total = across = down = 0.0
+            for r in range(top, top + cell):
+                for c in range(left, left + cell):
+                    total += pixels[r][c]
+                    if c + 1 < left + cell:
+                        across += abs(pixels[r][c + 1] - pixels[r][c])
+                    if r + 1 < top + cell:
+                        down += abs(pixels[r + 1][c] - pixels[r][c])
+            out += [total / (cell * cell), across / (cell * (cell - 1)), down / (cell * (cell - 1))]
+    values = [v for row in pixels for v in row]
+    mean = sum(values) / len(values)
+    sd = math.sqrt(sum((v - mean) * (v - mean) for v in values) / len(values))
+    points = [(r, c) for r in range(RASTER) for c in range(RASTER) if pixels[r][c] == 1.0]
+    if points:
+        row_mean = sum(r for r, _ in points) / len(points)
+        col_mean = sum(c for _, c in points) / len(points)
+    else:
+        row_mean = col_mean = 0.0
+    return out + [mean, sd, row_mean, col_mean]
+
+
+# ---------------------------------------------------------------------------
 # Image metrics, naive sliding-window form
 
 

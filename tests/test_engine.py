@@ -630,6 +630,22 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"model.{where}: .*{match}"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("where", ["centroid", "selection.mask"])
+    def test_noncanonical_base64_is_a_located_format_error(self, model, tmp_path, where):
+        """Nonzero unused bits in the final quartet spell the same bytes a second way."""
+        canonical, noncanonical = "AAAAAAAA8D8=", "AAAAAAAA8D9="
+        assert base64.b64decode(noncanonical, validate=True) == base64.b64decode(canonical)
+        path = tmp_path / "model.json"
+        payload = _saved_payload(model, path)
+        *parents, key = where.split(".")
+        node = payload
+        for parent in parents:
+            node = node[parent]
+        node[key] = noncanonical
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"model.{where}: not canonical base64 .*'8D9='"):
+            load_model(str(path))
+
     def test_v1_file_is_refused_with_a_retrain_hint(self, model, tmp_path):
         """A decimal-array v1 file is refused with a hint to retrain from its config."""
         path = tmp_path / "model.json"

@@ -2,7 +2,8 @@
 
 Tests cover:
 - raw order-statistic features
-- image-grid features (cell stats plus globals) against plain loops
+- image-grid features (cell stats plus globals) against plain loops and,
+  bit for bit, against the per-pixel oracle
 - FeatureVector / SelectionModel validation
 - fit_selection scoring, tie-breaking, and apply_selection
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from dnt.errors import InvalidArgumentError
 from dnt.features import (
     EXTRACTOR_IDS,
@@ -23,7 +25,7 @@ from dnt.features import (
     extract_raw,
     fit_selection,
 )
-from dnt.qq import qq_points, rasterize
+from dnt.qq import RASTER_SIZE, QQRaster, qq_points, rasterize
 from dnt.sampling import case_spec, sample
 
 
@@ -94,6 +96,39 @@ class TestExtractImage:
         vec = extract_image(raster).values
         assert vec[-2] == 0.0
         assert vec[-1] == 0.0
+
+
+class TestExtractImageOracle:
+    """extract_image against the per-pixel oracle."""
+
+    @pytest.mark.parametrize("n", [5, 10, 11, 100, 500])
+    @pytest.mark.parametrize("case", range(1, 16))
+    def test_benchmark_rasters_match_bit_for_bit(self, case: int, n: int) -> None:
+        """Raster pixels are 0, 0.5 or 1, so block sums and loop sums agree exactly."""
+        raster = rasterize(qq_points(sample(case_spec(case), n, 40 + case)))
+        expected = np.array(oracles.oracle_extract_image(raster.pixels.tolist()))
+        assert extract_image(raster).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(np.concatenate([np.zeros(99), [1e6]]), id="extreme-outlier"),
+            pytest.param(np.repeat(np.arange(5.0), 20), id="integer-ties"),
+        ],
+    )
+    def test_edge_rasters_match_bit_for_bit(self, values: np.ndarray) -> None:
+        raster = rasterize(qq_points(values))
+        expected = np.array(oracles.oracle_extract_image(raster.pixels.tolist()))
+        assert extract_image(raster).values.tobytes() == expected.tobytes()
+
+    def test_non_dyadic_raster_matches_to_rounding(self) -> None:
+        """Arbitrary intensities round differently by summation order, never by more."""
+        pixels = np.random.default_rng(8).uniform(0.0, 1.0, (RASTER_SIZE, RASTER_SIZE))
+        pixels[10:20, 30:40] = 1.0
+        pixels[64:, :] = 0.3
+        raster = QQRaster(pixels, (-1.0, 1.0))
+        expected = oracles.oracle_extract_image(raster.pixels.tolist())
+        assert np.allclose(extract_image(raster).values, expected, rtol=0.0, atol=1e-12)
 
 
 class TestFeatureVector:

@@ -3,7 +3,6 @@
 Tests cover:
 - CDF and quantile agreement with high-precision oracles
 - quantile/CDF round-trips
-- log tail accuracy deep in the tail
 - domain validation
 """
 
@@ -16,7 +15,7 @@ import pytest
 
 import oracles
 from dnt.errors import InvalidArgumentError
-from dnt.normal import normal_cdf, normal_log_tail, normal_quantile
+from dnt.normal import normal_cdf, normal_quantile
 
 
 class TestNormalCdf:
@@ -73,22 +72,3 @@ class TestNormalQuantile:
         with pytest.raises(InvalidArgumentError):
             normal_quantile(p)
 
-
-class TestNormalLogTail:
-    """Log of the upper tail probability."""
-
-    def test_matches_high_precision_tail(self) -> None:
-        """log P(Z > z) agrees with an mpmath evaluation to 1e-12.
-
-        The naive float expression log(1 - Phi(z)) is not a usable
-        reference here: the subtraction cancels once the tail shrinks.
-        """
-        for z in (-2.0, 0.0, 1.5, 5.0):
-            truth = float(oracles.mp.log(oracles.mp.ncdf(-oracles.mp.mpf(z))))
-            assert normal_log_tail(z) == pytest.approx(truth, rel=1e-12)
-
-    def test_stable_deep_in_tail(self) -> None:
-        """Far beyond the float CDF range the log tail stays finite."""
-        value = normal_log_tail(40.0)
-        assert math.isfinite(value)
-        assert value == pytest.approx(float(oracles.mp.log(oracles.mp.ncdf(-40))), rel=1e-9)

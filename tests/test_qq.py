@@ -5,16 +5,20 @@ Tests cover:
 - qq_points standardization and ordering
 - ideal point sets
 - raster geometry: anchor line, point discs, orientation, value range
+- rasters bit-identical to a per-pixel oracle, and pinned by digest
 - PGM encoding
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 
 import oracles
 from dnt.errors import InvalidArgumentError
+from dnt.features import extract_image
 from dnt.qq import (
     RASTER_SIZE,
     QQPoints,
@@ -146,6 +150,101 @@ class TestRasterize:
     def test_rejects_too_few_points(self) -> None:
         with pytest.raises(InvalidArgumentError):
             rasterize(QQPoints(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+
+
+def _oracle_raster(points: QQPoints) -> tuple[np.ndarray, tuple[float, float]]:
+    pixels, value_range = oracles.oracle_rasterize(
+        points.theoretical.tolist(), points.empirical.tolist()
+    )
+    return np.array(pixels), value_range
+
+
+class TestRasterOracle:
+    """rasterize against the per-point, per-pixel oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n", [5, 10, 11, 100, 500])
+    @pytest.mark.parametrize("case", range(1, 16))
+    def test_benchmark_cases_match(self, case: int, n: int) -> None:
+        """Every benchmark law, on both sides of the n <= 10 plotting-position switch."""
+        points = qq_points(sample(case_spec(case), n, 40 + case))
+        raster = rasterize(points)
+        pixels, value_range = _oracle_raster(points)
+        assert raster.pixels.tobytes() == pixels.tobytes()
+        assert raster.value_range == value_range
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(np.concatenate([np.zeros(99), [1e6]]), id="extreme-outlier"),
+            pytest.param(np.repeat(np.arange(5.0), 20), id="integer-ties"),
+            pytest.param(np.array([2.0, 2.0, 2.0, 2.0, 7.0]), id="four-tied-one-apart"),
+        ],
+    )
+    def test_edge_samples_match(self, values: np.ndarray) -> None:
+        """Stacked ties and a lone outlier at the edge of the axis range.
+
+        The 5% padding keeps every disc center at least 127 * 0.05 / 1.1,
+        about 5.8 px, inside the canvas, so the outlier's disc is the
+        nearest to an edge that a Q-Q raster can draw.
+        """
+        points = qq_points(values)
+        raster = rasterize(points)
+        pixels, value_range = _oracle_raster(points)
+        assert raster.pixels.tobytes() == pixels.tobytes()
+        assert raster.value_range == value_range
+
+    def test_pixels_exactly_on_the_disc_boundary_are_painted(self) -> None:
+        """A center at (row 66.5, column 40) is exactly 1.5 px from rows 65 and 68.
+
+        Coordinates 0 and 4 fix the range to [-0.2, 4.2]; the middle
+        point was chosen so that both mappings are exact in floating point.
+        """
+        points = QQPoints(
+            np.array([0.0, 1.1858267716535436, 4.0]), np.array([0.0, 1.8960629921259844, 4.0])
+        )
+        raster = rasterize(points)
+        pixels, _ = _oracle_raster(points)
+        assert raster.pixels.tobytes() == pixels.tobytes()
+        assert raster.pixels[65, 40] == raster.pixels[68, 40] == 1.0
+        assert raster.pixels[65, 39] == raster.pixels[68, 41] == 0.0
+
+
+class TestGoldenRasters:
+    """SHA-256 pins of pixels and ImageGrid features for fixed inputs.
+
+    The digests were computed at the parent commit of the loop-free
+    rasterizer, so that rewrite moved no bit. A change to rendering or
+    to the features must update these pins and say which bits moved.
+    """
+
+    PINS = {
+        (1, 7, 20): (
+            "adf0d7e211d6d82866317032d85406016815be1334813e28af41d16aee1cec2f",
+            "3d1aa1e8cbbc06c46bcd7c1255ece6956f5ddfd2ec3da550c469fca527b9c9dc",
+        ),
+        (5, 11, 100): (
+            "c1d6a1b640d11f49c9aacdd025a318dde65b973ceebe8c1c3479291f4ad95502",
+            "1db5804969225e0770de93b96841434db8116d0a79964e979208e9a6b7f0aa2e",
+        ),
+        (9, 3, 10): (
+            "aee302c5ceab39995c94f004d6cb1cae3821199f89f4eba2ed585dddb6e3a667",
+            "634452682415ecd44723ec56a383bd04dbff6815ef346e3d02c5aa778fe85953",
+        ),
+        (13, 21, 500): (
+            "50793f057cd8a14e464ce29677e2ba61cc081ca4fda2c89badaec9dbb70bed85",
+            "6eec6b00f34383d99ecfcf0563d6cb8a31e73c54811bd3b4b6fa528f9d087026",
+        ),
+    }
+
+    @pytest.mark.parametrize("case, seed, n", sorted(PINS))
+    def test_digests(self, case: int, seed: int, n: int) -> None:
+        raster = rasterize(qq_points(sample(case_spec(case), n, seed)))
+        features = extract_image(raster).values
+        digests = (
+            hashlib.sha256(raster.pixels.tobytes()).hexdigest(),
+            hashlib.sha256(features.tobytes()).hexdigest(),
+        )
+        assert digests == self.PINS[(case, seed, n)]
 
 
 class TestToPgm:
