@@ -1,4 +1,4 @@
-"""Six classical normality-test statistics.
+"""Six classical normality-test statistics, computed row-wise.
 
 Each statistic is location-scale invariant: the sample is first fitted
 by its mean and population (1/n) standard deviation, and the EDF-based
@@ -8,12 +8,24 @@ elsewhere. KS, AD, and GLB also accept a raw u-vector directly (the
 "_from_u" forms) so their formulas can be exercised without building
 samples.
 
+Every statistic has one implementation: a kernel over an (rows, n)
+array that works along the last axis. ``ks_statistic`` and its
+siblings run it on one validated sample as a one-row array;
+``calibrate_cutoff`` runs it on chunks of null draws (see
+``calibration_kernel``). A row's value never depends on the rows beside
+it: rows are summed with ``np.add.reduce`` along the contiguous last
+axis, pairwise exactly as a 1-D vector is, and the JB, GG and BS tails
+that take powers or logarithms run in Python floats, since numpy's
+vectorised ``**`` and ``log`` can round differently from the C library.
+
 Tail terms use log Phi computed directly (never log(1 - Phi(z))), so
 extreme observations cannot underflow to log(0).
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -22,7 +34,7 @@ from scipy import special
 
 from .errors import InsufficientDataError, InvalidArgumentError
 from .normal import normal_cdf
-from .sampling import Sample, sample_moments
+from .sampling import Sample, _as_values
 
 __all__ = [
     "TestStatistic",
@@ -37,6 +49,7 @@ __all__ = [
     "ad_from_u",
     "glb_from_u",
     "statistic_fn",
+    "calibration_kernel",
 ]
 
 STATISTIC_NAMES = ("KS", "AD", "JB", "GLB", "GG", "BS")
@@ -75,21 +88,139 @@ class TestStatistic:
         return abs(self.value) if self.direction == "reject-two-sided" else self.value
 
 
-def _wrap(name: str, value: float) -> TestStatistic:
-    return TestStatistic(name, float(value), _DIRECTION[name])
+@functools.lru_cache(maxsize=64)
+def _rank_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only i/n, (i-1)/n, 2i-1 and 2n+1-2i for the ranks i = 1..n."""
+    i = np.arange(1, n + 1, dtype=float)
+    weights = (i / n, (i - 1) / n, 2.0 * i - 1.0, 2.0 * n + 1.0 - 2.0 * i)
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
-def _fitted_z(x: Sample | np.ndarray) -> np.ndarray:
-    """Ascending z-scores under the mean / population-sd fit."""
-    values = x.values if isinstance(x, Sample) else np.asarray(x, dtype=float)
-    if values.ndim != 1 or values.size < 3:
-        raise InsufficientDataError("need a 1-D sample of at least 3 values")
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError("sample values must be finite")
-    sd = float(values.std())
-    if sd == 0.0:
+def _centered(x: np.ndarray) -> np.ndarray:
+    """Each row minus its mean (the mean ``ndarray.mean`` gives, bit for bit)."""
+    return x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
+def _sorted_z(x: np.ndarray) -> np.ndarray:
+    """Ascending z-scores of each row under the mean / population-sd fit."""
+    z = _centered(x)
+    sd = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / x.shape[-1])
+    if (sd == 0.0).any():
         raise InsufficientDataError("degenerate sample: zero variance")
-    return np.sort((values - values.mean()) / sd)
+    z /= sd
+    z.sort(axis=-1)
+    return z
+
+
+def _ks_from_u_rows(u: np.ndarray) -> np.ndarray:
+    above, below, _, _ = _rank_weights(u.shape[-1])
+    return np.maximum(above - u, u - below).max(axis=-1)
+
+
+def _ad_from_logs(log_u: np.ndarray, log_1mu: np.ndarray) -> np.ndarray:
+    n = log_u.shape[-1]
+    _, _, lower, _ = _rank_weights(n)
+    return -n - np.add.reduce(lower * (log_u + log_1mu[..., ::-1]), axis=-1) / n
+
+
+def _glb_from_logs(log_u: np.ndarray, log_1mu: np.ndarray) -> np.ndarray:
+    n = log_u.shape[-1]
+    _, _, lower, upper = _rank_weights(n)
+    return -n - np.add.reduce(lower * log_u + upper * log_1mu, axis=-1) / n
+
+
+def _ks_rows(x: np.ndarray) -> np.ndarray:
+    return _ks_from_u_rows(normal_cdf(_sorted_z(x)))
+
+
+def _log_tails(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log Phi(z) and log(1 - Phi(z)) of each row's sorted z-scores."""
+    z = _sorted_z(x)
+    return special.log_ndtr(z), special.log_ndtr(-z)
+
+
+def _ad_rows(x: np.ndarray) -> np.ndarray:
+    return _ad_from_logs(*_log_tails(x))
+
+
+def _glb_rows(x: np.ndarray) -> np.ndarray:
+    return _glb_from_logs(*_log_tails(x))
+
+
+def _central_moment(centered: np.ndarray, power: int) -> np.ndarray:
+    return np.add.reduce(centered**power, axis=-1) / centered.shape[-1]
+
+
+def _per_row(tail, *columns: np.ndarray) -> np.ndarray:
+    """tail applied to each row's entries of columns, in Python floats."""
+    return np.array([tail(*row) for row in zip(*(c.tolist() for c in columns))])
+
+
+def _jb_rows(x: np.ndarray) -> np.ndarray:
+    n = x.shape[-1]
+    centered = _centered(x)
+    m2 = _central_moment(centered, 2)
+    if (m2 == 0.0).any():
+        raise InsufficientDataError("degenerate sample: zero variance")
+    m3 = _central_moment(centered, 3)
+    m4 = _central_moment(centered, 4)
+    return _per_row(
+        lambda c2, c3, c4: (n / 6.0) * ((c3 / c2**1.5) ** 2 + (c4 / c2**2 - 3.0) ** 2 / 4.0),
+        m2, m3, m4,
+    )
+
+
+def _median(x: np.ndarray) -> np.ndarray:
+    """Each row's median as an (rows, 1) column, as ``np.median`` computes it."""
+    half = x.shape[-1] // 2
+    if x.shape[-1] % 2:
+        return np.partition(x, half, axis=-1)[..., half : half + 1]
+    middle = np.partition(x, (half - 1, half), axis=-1)
+    return (middle[..., half - 1 : half] + middle[..., half : half + 1]) / 2
+
+
+def _gg_rows(x: np.ndarray) -> np.ndarray:
+    n = x.shape[-1]
+    deviation = np.abs(x - _median(x))
+    spread = math.sqrt(math.pi / 2.0) * (np.add.reduce(deviation, axis=-1) / n)
+    if (spread == 0.0).any():
+        raise InsufficientDataError("degenerate sample: zero robust spread")
+    centered = _centered(x)
+    return _per_row(
+        lambda j, c3, c4: (n / 6.0) * (c3 / j**3) ** 2 + (n / 64.0) * (c4 / j**4 - 3.0) ** 2,
+        spread, _central_moment(centered, 3), _central_moment(centered, 4),
+    )
+
+
+def _bs_rows(x: np.ndarray) -> np.ndarray:
+    n = x.shape[-1]
+    centered = _centered(x)
+    sigma = np.sqrt(np.add.reduce(centered * centered, axis=-1) / n)
+    tau = np.add.reduce(np.abs(centered), axis=-1) / n
+    if (sigma == 0.0).any() or (tau == 0.0).any():
+        raise InsufficientDataError("degenerate sample: zero spread")
+    root = math.sqrt(n + 2.0)
+    return _per_row(
+        lambda s, t: root * (13.29 * (math.log(s) - math.log(t)) - 3.0) / 3.54, sigma, tau
+    )
+
+
+_KERNELS = {
+    "KS": _ks_rows,
+    "AD": _ad_rows,
+    "JB": _jb_rows,
+    "GLB": _glb_rows,
+    "GG": _gg_rows,
+    "BS": _bs_rows,
+}
+
+
+def _single(name: str, x: Sample | np.ndarray) -> TestStatistic:
+    """One sample's statistic: validate, run the kernel on one row, wrap."""
+    value = float(_KERNELS[name](_as_values(x)[np.newaxis, :])[0])
+    return TestStatistic(name, value, _DIRECTION[name])
 
 
 def _check_u(u: np.ndarray) -> np.ndarray:
@@ -105,19 +236,13 @@ def _check_u(u: np.ndarray) -> np.ndarray:
 
 def ks_from_u(u: np.ndarray) -> float:
     """D = max_i max(i/n - u_i, u_i - (i-1)/n) for ascending u."""
-    u = _check_u(u)
-    n = u.size
-    i = np.arange(1, n + 1, dtype=float)
-    return float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
+    return float(_ks_from_u_rows(_check_u(u)))
 
 
 def ad_from_u(u: np.ndarray) -> float:
     """A^2 = -n - (1/n) sum (2i-1)[ln u_i + ln(1 - u_{n+1-i})]."""
     u = _check_u(u)
-    n = u.size
-    i = np.arange(1, n + 1, dtype=float)
-    terms = (2.0 * i - 1.0) * (np.log(u) + np.log1p(-u[::-1]))
-    return float(-n - terms.sum() / n)
+    return float(_ad_from_logs(np.log(u), np.log1p(-u)))
 
 
 def glb_from_u(u: np.ndarray) -> float:
@@ -127,48 +252,32 @@ def glb_from_u(u: np.ndarray) -> float:
     the upper tail with the mirrored rank (ascending order statistics).
     """
     u = _check_u(u)
-    n = u.size
-    i = np.arange(1, n + 1, dtype=float)
-    terms = (2.0 * i - 1.0) * np.log(u) + (2.0 * n + 1.0 - 2.0 * i) * np.log1p(-u)
-    return float(-n - terms.sum() / n)
+    return float(_glb_from_logs(np.log(u), np.log1p(-u)))
 
 
 def ks_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Largest vertical gap between the fitted normal CDF and the EDF."""
-    u = normal_cdf(_fitted_z(x))
-    n = u.size
-    i = np.arange(1, n + 1, dtype=float)
-    d = float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
-    return _wrap("KS", d)
+    return _single("KS", x)
 
 
 def ad_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Quadratic EDF statistic with extra weight in the tails."""
-    z = _fitted_z(x)
-    n = z.size
-    i = np.arange(1, n + 1, dtype=float)
-    log_u = special.log_ndtr(z)
-    log_1mu = special.log_ndtr(-z)
-    terms = (2.0 * i - 1.0) * (log_u + log_1mu[::-1])
-    return _wrap("AD", -n - float(terms.sum()) / n)
+    return _single("AD", x)
 
 
 def jb_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Moment statistic (n/6)(S^2 + (K-3)^2/4) from 1/n moments."""
-    n = len(x.values) if isinstance(x, Sample) else np.asarray(x).size
-    _, _, skew, kurt = sample_moments(x)
-    return _wrap("JB", (n / 6.0) * (skew**2 + (kurt - 3.0) ** 2 / 4.0))
+    return _single("JB", x)
 
 
 def glb_statistic(x: Sample | np.ndarray) -> TestStatistic:
-    """Order-statistics statistic weighting both CDF tails per rank."""
-    z = _fitted_z(x)
-    n = z.size
-    i = np.arange(1, n + 1, dtype=float)
-    log_u = special.log_ndtr(z)
-    log_1mu = special.log_ndtr(-z)
-    terms = (2.0 * i - 1.0) * log_u + (2.0 * n + 1.0 - 2.0 * i) * log_1mu
-    return _wrap("GLB", -n - float(terms.sum()) / n)
+    """Order-statistics statistic weighting both CDF tails per rank.
+
+    Its rank-weight expansion equals the Anderson-Darling sum term by
+    term after reindexing, so it has the same value as AD up to
+    rounding.
+    """
+    return _single("GLB", x)
 
 
 def gg_statistic(x: Sample | np.ndarray) -> TestStatistic:
@@ -177,18 +286,7 @@ def gg_statistic(x: Sample | np.ndarray) -> TestStatistic:
     RJB = (n/6)(m3/J^3)^2 + (n/64)(m4/J^4 - 3)^2 with
     J = sqrt(pi/2) * mean |x - median|.
     """
-    values = x.values if isinstance(x, Sample) else np.asarray(x, dtype=float)
-    if values.ndim != 1 or values.size < 3:
-        raise InsufficientDataError("need a 1-D sample of at least 3 values")
-    n = values.size
-    j = math.sqrt(math.pi / 2.0) * float(np.mean(np.abs(values - np.median(values))))
-    if j == 0.0:
-        raise InsufficientDataError("degenerate sample: zero robust spread")
-    centered = values - values.mean()
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
-    rjb = (n / 6.0) * (m3 / j**3) ** 2 + (n / 64.0) * (m4 / j**4 - 3.0) ** 2
-    return _wrap("GG", rjb)
+    return _single("GG", x)
 
 
 def bs_statistic(x: Sample | np.ndarray) -> TestStatistic:
@@ -197,16 +295,7 @@ def bs_statistic(x: Sample | np.ndarray) -> TestStatistic:
     z = sqrt(n+2) (w - 3)/3.54 with w = 13.29 (ln sigma - ln tau),
     sigma the population sd and tau the mean absolute deviation.
     """
-    values = x.values if isinstance(x, Sample) else np.asarray(x, dtype=float)
-    if values.ndim != 1 or values.size < 3:
-        raise InsufficientDataError("need a 1-D sample of at least 3 values")
-    n = values.size
-    sigma = float(values.std())
-    tau = float(np.mean(np.abs(values - values.mean())))
-    if sigma == 0.0 or tau == 0.0:
-        raise InsufficientDataError("degenerate sample: zero spread")
-    omega = 13.29 * (math.log(sigma) - math.log(tau))
-    return _wrap("BS", math.sqrt(n + 2.0) * (omega - 3.0) / 3.54)
+    return _single("BS", x)
 
 
 _BY_NAME = {
@@ -227,3 +316,31 @@ def statistic_fn(name: str):
         raise InvalidArgumentError(
             f"unknown statistic {name!r}; expected one of {', '.join(STATISTIC_NAMES)}"
         ) from None
+
+
+def calibration_kernel(fn):
+    """The row-wise calibration values behind a registered statistic, or None.
+
+    fn matches when it is one of the six statistic functions or a
+    ``functools.wraps`` wrapper of one. The returned function maps an
+    (rows, n) array of finite samples to each row's calibration value
+    (the absolute value for two-sided BS), and raises what the
+    single-sample statistic raises on a bad row: InsufficientDataError
+    on zero spread, InvalidArgumentError on a non-finite value.
+    """
+    target = inspect.unwrap(fn)
+    name = next(
+        (name for name, f in _BY_NAME.items() if inspect.unwrap(f) is target), None
+    )
+    if name is None:
+        return None
+    kernel = _KERNELS[name]
+    two_sided = _DIRECTION[name] == "reject-two-sided"
+
+    def calibration_values(rows: np.ndarray) -> np.ndarray:
+        values = kernel(rows)
+        if not np.isfinite(values).all():
+            raise InvalidArgumentError("statistic value must be finite")
+        return np.abs(values) if two_sided else values
+
+    return calibration_values

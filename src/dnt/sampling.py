@@ -8,6 +8,7 @@ a random stream even when they share a master seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,6 +224,9 @@ def _splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
+# stream() hashes its purpose tag on every call; the tags are a handful of
+# fixed strings, so each is hashed once.
+@functools.lru_cache(maxsize=64)
 def _fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
@@ -288,7 +292,7 @@ def _as_values(x: Sample | np.ndarray) -> np.ndarray:
     values = x.values if isinstance(x, Sample) else np.asarray(x, dtype=float)
     if values.ndim != 1 or values.size < 3:
         raise InsufficientDataError("need a 1-D vector of at least 3 values")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise InvalidArgumentError("values must all be finite")
     return np.asarray(values, dtype=float)
 

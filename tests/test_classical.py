@@ -5,12 +5,18 @@ Tests cover:
 - the u-level seam functions and their validation
 - invariance properties (affine maps, permutations)
 - TestStatistic direction handling and the registry
+- the row kernels, bit for bit against a per-row loop of the
+  one-sample formulas, and on edge inputs (ties, near-constant,
+  values near +/-1e300, zero spread alone and inside a chunk)
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 import oracles
 from dnt.classical import (
@@ -19,6 +25,7 @@ from dnt.classical import (
     ad_from_u,
     ad_statistic,
     bs_statistic,
+    calibration_kernel,
     gg_statistic,
     glb_from_u,
     glb_statistic,
@@ -249,3 +256,150 @@ class TestTestStatistic:
         """Sample wrappers and raw arrays give identical values."""
         x = sample(case_spec(5), 40, 3)
         assert ks_statistic(x).value == ks_statistic(x.values).value
+
+
+# ---------------------------------------------------------------------------
+# Row kernels
+
+
+def _reference_values(name: str, values: np.ndarray) -> float:
+    """One sample's statistic by the one-sample numpy formulas, no kernel.
+
+    These are the formulas the statistics used before they shared the
+    row kernels; a kernel must reproduce them bit for bit on every row.
+    """
+    n = values.size
+    i = np.arange(1, n + 1, dtype=float)
+    if name in ("KS", "AD", "GLB"):
+        z = np.sort((values - values.mean()) / float(values.std()))
+        if name == "KS":
+            u = special.ndtr(z)
+            return float(np.max(np.maximum(i / n - u, u - (i - 1) / n)))
+        log_u, log_1mu = special.log_ndtr(z), special.log_ndtr(-z)
+        if name == "AD":
+            terms = (2.0 * i - 1.0) * (log_u + log_1mu[::-1])
+        else:
+            terms = (2.0 * i - 1.0) * log_u + (2.0 * n + 1.0 - 2.0 * i) * log_1mu
+        return -n - float(terms.sum()) / n
+    if name == "JB":
+        centered = values - float(values.mean())
+        m2 = float(np.mean(centered**2))
+        m3 = float(np.mean(centered**3))
+        m4 = float(np.mean(centered**4))
+        skew, kurt = m3 / m2**1.5, m4 / m2**2
+        return (n / 6.0) * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
+    if name == "GG":
+        j = math.sqrt(math.pi / 2.0) * float(np.mean(np.abs(values - np.median(values))))
+        centered = values - values.mean()
+        m3 = float(np.mean(centered**3))
+        m4 = float(np.mean(centered**4))
+        return (n / 6.0) * (m3 / j**3) ** 2 + (n / 64.0) * (m4 / j**4 - 3.0) ** 2
+    sigma = float(values.std())
+    tau = float(np.mean(np.abs(values - values.mean())))
+    omega = 13.29 * (math.log(sigma) - math.log(tau))
+    return math.sqrt(n + 2.0) * (omega - 3.0) / 3.54
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestRowKernels:
+    """One kernel per statistic, bit-identical to a per-row loop."""
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 100, 500])
+    @pytest.mark.parametrize("name", STATISTIC_NAMES)
+    def test_kernel_matches_per_row_loop_bitwise(self, name: str, n: int) -> None:
+        """A block of all 15 cases scores each row as the loop does."""
+        block = np.stack(
+            [
+                sample(case_spec(case), n, 100 * case + seed).values
+                for case in range(1, 16)
+                for seed in range(6)
+            ]
+        )
+        expected = [_reference_values(name, row) for row in block]
+        kernel = calibration_kernel(statistic_fn(name))
+        got = kernel(block)
+        if name == "BS":
+            expected = [abs(v) for v in expected]
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+        single = [statistic_fn(name)(row).calibration_value for row in block]
+        np.testing.assert_array_equal(_bits(single), _bits(expected))
+
+
+# Values read from the one-sample statistics before they shared the row
+# kernels (reprs), so these pin today's results on awkward inputs.
+EDGE_SAMPLES = {
+    "integer ties": np.array([1.0, 2, 2, 3, 3, 3, 4, 4, 5, 1, 2, 3]),
+    "near-constant": np.r_[np.ones(20), 1 + 1e-12],
+    "seam outlier": np.append(np.zeros(99), 1e6),
+    "half at the median": np.array([0.0, 0, 0, 0, 0, 1, 2]),
+}
+EDGE_VALUES = {
+    "integer ties": {
+        "KS": 0.16838514172900615, "AD": 0.3933176722286529, "JB": 0.3208677567312071,
+        "GLB": 0.3933176722286529, "GG": 0.1356506133474562, "BS": -0.4436189680159892,
+    },
+    "near-constant": {
+        "KS": 0.5410617763401788, "AD": 7.616996485681003, "JB": 288.26755387690633,
+        "GLB": 7.616996485681003, "GG": 3250639.4155268897, "BS": 11.282030634577621,
+    },
+    "seam outlier": {
+        "KS": 0.5300278095914963, "AD": 38.24807846140578, "JB": 39228.99874162501,
+        "GLB": 38.248078461405754, "GG": 237223627905.8675, "BS": 52.65497961866008,
+    },
+    "half at the median": {
+        "KS": 0.4361364836483469, "AD": 1.328828357249007, "JB": 2.166593358659245,
+        "GLB": 1.328828357249007, "GG": 20.26978656996547, "BS": -0.5853523950781224,
+    },
+}
+HUGE_SAMPLES = {
+    "mixed sign": np.array([1e300, -1e300, 5e299, 0.0, 3e299]),
+    "positive": np.array([1e300, 1.1e300, 1.2e300, 1.5e300, 0.9e300]),
+}
+
+
+class TestEdgeInputs:
+    """Awkward samples give today's values and errors, alone and in chunks."""
+
+    @pytest.mark.parametrize("label", sorted(EDGE_SAMPLES))
+    @pytest.mark.parametrize("name", STATISTIC_NAMES)
+    def test_edge_values_are_pinned(self, name: str, label: str) -> None:
+        x = EDGE_SAMPLES[label]
+        assert statistic_fn(name)(x).value == EDGE_VALUES[label][name]
+        row = calibration_kernel(statistic_fn(name))(x[np.newaxis, :])
+        assert row[0] == abs(EDGE_VALUES[label][name])
+
+    @pytest.mark.parametrize("label", sorted(HUGE_SAMPLES))
+    def test_values_near_1e300(self, label: str) -> None:
+        """The z-score statistics survive; the moment statistics overflow.
+
+        The squared deviations overflow to inf, so the fitted sd is inf
+        and every z is 0: KS, AD and GLB score the all-ties sample. JB
+        and BS reach a non-finite value, which is refused. (GG's
+        Python-float tail raises OverflowError here and is not pinned.)
+        """
+        x = HUGE_SAMPLES[label]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert ks_statistic(x).value == 0.5
+            assert ad_statistic(x).value == 1.931471805599453
+            assert glb_statistic(x).value == 1.9314718055994522
+            for name in ("JB", "BS"):
+                with pytest.raises(InvalidArgumentError):
+                    statistic_fn(name)(x)
+                with pytest.raises(InvalidArgumentError):
+                    calibration_kernel(statistic_fn(name))(np.stack([x, x + 1e299]))
+
+    @pytest.mark.parametrize("name", STATISTIC_NAMES)
+    def test_zero_spread_raises_alone_and_in_a_chunk(self, name: str) -> None:
+        """A constant sample is InsufficientDataError, also as one row of many."""
+        flat = np.full(100, 2.5)
+        with pytest.raises(InsufficientDataError):
+            statistic_fn(name)(flat)
+        chunk = np.stack([sample(case_spec(15), 100, s).values for s in range(8)])
+        chunk[5] = flat
+        with pytest.raises(InsufficientDataError):
+            calibration_kernel(statistic_fn(name))(chunk)
+        rest = calibration_kernel(statistic_fn(name))(np.delete(chunk, 5, axis=0))
+        assert np.all(np.isfinite(rest))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import json
 import math
 
@@ -41,6 +42,7 @@ from dnt import (
     save_model,
     train,
 )
+from dnt.classical import statistic_fn
 from dnt.engine import (
     MODEL_FORMAT_VERSION,
     config_from_dict,
@@ -376,6 +378,45 @@ class TestCalibrateCutoff:
         )
         expected = replayed[math.ceil(0.95 * reps) - 1]
         assert calibrate_cutoff(first_value, n, reps, 0.05, seed=seed) == expected
+
+    def test_six_cutoffs_are_pinned(self):
+        """n=100, 1,000 reps, seed 0: the reprs the per-replicate loop gave."""
+        pinned = {
+            "KS": "0.09025189352572449",
+            "AD": "0.7323763374581489",
+            "JB": "5.879653094597938",
+            "GLB": "0.7323763374581489",
+            "GG": "6.952953824803871",
+            "BS": "1.970743684621084",
+        }
+        got = {
+            name: repr(calibrate_cutoff(statistic_fn(name), 100, 1000, 0.05, seed=0))
+            for name in pinned
+        }
+        assert got == pinned
+
+    def test_wrapped_and_generic_statistics_agree(self):
+        """The chunk kernel, a functools.wraps wrapper and a lambda give one cutoff.
+
+        The wrapper resolves to the kernel, so it is never called; the
+        lambda is scored sample by sample.
+        """
+        calls = {"wrapped": 0, "lambda": 0}
+
+        @functools.wraps(ks_statistic)
+        def wrapped(x):
+            calls["wrapped"] += 1
+            return ks_statistic(x)
+
+        def generic(x):
+            calls["lambda"] += 1
+            return ks_statistic(x)
+
+        reps = 1100
+        direct = calibrate_cutoff(ks_statistic, 40, reps, 0.05, seed=8)
+        assert calibrate_cutoff(wrapped, 40, reps, 0.05, seed=8) == direct
+        assert calibrate_cutoff(lambda x: generic(x), 40, reps, 0.05, seed=8) == direct
+        assert calls == {"wrapped": 0, "lambda": reps}
 
     def test_reproducible_for_a_real_statistic(self):
         """Equal seeds give bit-equal cutoffs."""

@@ -145,6 +145,18 @@ class TestSeedScheme:
         assert scheme.stream(3, 17, "test") == scheme.stream(3, 17, "test")
         assert 0 <= scheme.stream(3, 17, "test") < 2**64
 
+    def test_stream_values_are_pinned(self) -> None:
+        """Seeds are part of the determinism contract: these never change."""
+        pinned = {
+            (0, 15, 0, "calibrate"): 9534598188443122617,
+            (42, 3, 17, "test"): 14695719421052011162,
+            (2**64 - 1, 1, 1999, "train-h0"): 12754535595260759864,
+            (7, 0, 0, ""): 11273591621283196117,
+        }
+        for (master, case_id, replicate, purpose), seed in pinned.items():
+            assert SeedScheme(master).stream(case_id, replicate, purpose) == seed
+            assert SeedScheme(master).stream(case_id, replicate, purpose) == seed
+
     def test_distinct_masters_decouple(self) -> None:
         """Different master seeds give different streams."""
         assert SeedScheme(1).stream(1, 0, "test") != SeedScheme(2).stream(1, 0, "test")
