@@ -14,9 +14,10 @@ siblings run it on one validated sample as a one-row array;
 ``calibrate_cutoff`` runs it on chunks of null draws (see
 ``calibration_kernel``). A row's value never depends on the rows beside
 it: rows are summed with ``np.add.reduce`` along the contiguous last
-axis, pairwise exactly as a 1-D vector is, and the JB, GG and BS tails
-that take powers or logarithms run in Python floats, since numpy's
-vectorised ``**`` and ``log`` can round differently from the C library.
+axis, pairwise exactly as a 1-D vector is (the z-score and moment
+kernels are ``sampling``'s), and the JB, GG and BS tails that take
+powers or logarithms run in Python floats, since numpy's vectorised
+``**`` and ``log`` can round differently from the C library.
 
 Tail terms use log Phi computed directly (never log(1 - Phi(z))), so
 extreme observations cannot underflow to log(0).
@@ -34,7 +35,7 @@ from scipy import special
 
 from .errors import InsufficientDataError, InvalidArgumentError
 from .normal import normal_cdf
-from .sampling import Sample, _as_values
+from .sampling import Sample, _as_values, _central_moment, _centered, _moments, _z_scores
 
 __all__ = [
     "TestStatistic",
@@ -98,22 +99,6 @@ def _rank_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return weights
 
 
-def _centered(x: np.ndarray) -> np.ndarray:
-    """Each row minus its mean (the mean ``ndarray.mean`` gives, bit for bit)."""
-    return x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
-
-
-def _sorted_z(x: np.ndarray) -> np.ndarray:
-    """Ascending z-scores of each row under the mean / population-sd fit."""
-    z = _centered(x)
-    sd = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True) / x.shape[-1])
-    if (sd == 0.0).any():
-        raise InsufficientDataError("degenerate sample: zero variance")
-    z /= sd
-    z.sort(axis=-1)
-    return z
-
-
 def _ks_from_u_rows(u: np.ndarray) -> np.ndarray:
     above, below, _, _ = _rank_weights(u.shape[-1])
     return np.maximum(above - u, u - below).max(axis=-1)
@@ -132,12 +117,12 @@ def _glb_from_logs(log_u: np.ndarray, log_1mu: np.ndarray) -> np.ndarray:
 
 
 def _ks_rows(x: np.ndarray) -> np.ndarray:
-    return _ks_from_u_rows(normal_cdf(_sorted_z(x)))
+    return _ks_from_u_rows(normal_cdf(_z_scores(x, ascending=True)))
 
 
 def _log_tails(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log Phi(z) and log(1 - Phi(z)) of each row's sorted z-scores."""
-    z = _sorted_z(x)
+    z = _z_scores(x, ascending=True)
     return special.log_ndtr(z), special.log_ndtr(-z)
 
 
@@ -149,26 +134,23 @@ def _glb_rows(x: np.ndarray) -> np.ndarray:
     return _glb_from_logs(*_log_tails(x))
 
 
-def _central_moment(centered: np.ndarray, power: int) -> np.ndarray:
-    return np.add.reduce(centered**power, axis=-1) / centered.shape[-1]
-
-
 def _per_row(tail, *columns: np.ndarray) -> np.ndarray:
-    """tail applied to each row's entries of columns, in Python floats."""
-    return np.array([tail(*row) for row in zip(*(c.tolist() for c in columns))])
+    """tail applied to each row's entries of columns, in Python floats.
+
+    Python floats raise where numpy gives inf or nan (GG's ``j**3``
+    overflows near 1e300 and reaches 0 near 1e-310): such rows are refused.
+    """
+    try:
+        return np.array([tail(*row) for row in zip(*(c.tolist() for c in columns))])
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidArgumentError("statistic value must be finite") from None
 
 
 def _jb_rows(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
-    centered = _centered(x)
-    m2 = _central_moment(centered, 2)
-    if (m2 == 0.0).any():
-        raise InsufficientDataError("degenerate sample: zero variance")
-    m3 = _central_moment(centered, 3)
-    m4 = _central_moment(centered, 4)
     return _per_row(
         lambda c2, c3, c4: (n / 6.0) * ((c3 / c2**1.5) ** 2 + (c4 / c2**2 - 3.0) ** 2 / 4.0),
-        m2, m3, m4,
+        *_moments(x),
     )
 
 
@@ -197,7 +179,7 @@ def _gg_rows(x: np.ndarray) -> np.ndarray:
 def _bs_rows(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     centered = _centered(x)
-    sigma = np.sqrt(np.add.reduce(centered * centered, axis=-1) / n)
+    sigma = np.sqrt(_central_moment(centered, 2))
     tau = np.add.reduce(np.abs(centered), axis=-1) / n
     if (sigma == 0.0).any() or (tau == 0.0).any():
         raise InsufficientDataError("degenerate sample: zero spread")

@@ -47,10 +47,11 @@ from .sampling import (
     DistributionSpec,
     Sample,
     SeedScheme,
+    _as_values,
     benchmark_case_id,
     case_spec,
     parse_distribution_label,
-    sample,
+    replicates,
 )
 
 __all__ = [
@@ -214,14 +215,10 @@ def _feature_block(
     purpose: str,
     extractor_id: str,
 ) -> np.ndarray:
-    case_id = benchmark_case_id(spec.kind, spec.params) or 0
-    rows = [
-        extract_features(
-            sample(spec, n, scheme.stream(case_id, r, purpose)), extractor_id
-        ).values
-        for r in range(count)
-    ]
-    return np.stack(rows)
+    return np.stack([
+        extract_features(x, extractor_id).values
+        for x in replicates(spec, n, scheme, purpose, range(count))
+    ])
 
 
 def train(cfg: TrainConfig) -> DNTModel:
@@ -300,10 +297,9 @@ def calibrate_cutoff(
     rows = max(1, _CHUNK_VALUES // max(n, 3))
     values = np.empty(reps)
     for start in range(0, reps, rows):
-        chunk = [
-            sample(null_spec, n, scheme.stream(_NULL_CASE, r, "calibrate"))
-            for r in range(start, min(start + rows, reps))
-        ]
+        chunk = list(
+            replicates(null_spec, n, scheme, "calibrate", range(start, min(start + rows, reps)))
+        )
         values[start : start + len(chunk)] = score(chunk)
     values.sort()
     return float(values[_quantile_index(reps, alpha) - 1])
@@ -327,7 +323,7 @@ def _chunk_scorer(statistic_fn):
 
 def dnt_test(x: Sample | np.ndarray, model: DNTModel) -> TestReport:
     """Squared metric distance of x's selected features to the centroid."""
-    values = x.values if isinstance(x, Sample) else np.asarray(x, dtype=float)
+    values = _as_values(x)
     if values.size != model.n:
         raise ModelMismatchError(
             f"model was trained for n={model.n}, got a sample of n={values.size}"

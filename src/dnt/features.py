@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .qq import RASTER_SIZE, QQRaster
-from .sampling import Sample, standardized_values
+from .sampling import Sample, _as_values, _z_scores
 
 __all__ = [
     "EXTRACTOR_IDS",
@@ -107,7 +107,7 @@ class SelectionModel:
 
 def extract_raw(x: Sample | np.ndarray) -> FeatureVector:
     """Sorted standardized sample as the feature vector (length n)."""
-    return FeatureVector(np.sort(standardized_values(x)), "RawOrder")
+    return FeatureVector(_z_scores(_as_values(x), ascending=True), "RawOrder")
 
 
 def extract_image(r: QQRaster) -> FeatureVector:

@@ -20,7 +20,7 @@ from .engine import DNTModel, TrainConfig, calibrate_cutoff, dnt_test, train
 from .errors import ConfigError, FormatError, InvalidArgumentError
 from .imagesim import METRIC_NAMES, SimilarityReference
 from .qq import qq_points, rasterize
-from .sampling import Sample, SeedScheme, case_spec, sample
+from .sampling import Sample, SeedScheme, case_spec, replicates
 
 __all__ = [
     "METHOD_NAMES",
@@ -191,9 +191,7 @@ def run_power_study(cfg: RunConfig, bank: MethodBank | None = None) -> PowerTabl
     scheme = SeedScheme(cfg.master_seed)
     counts = {case_id: {name: 0 for name in cfg.methods} for case_id in _CASE_IDS}
     for case_id in _CASE_IDS:
-        spec = case_spec(case_id)
-        for r in range(cfg.reps):
-            x = sample(spec, cfg.n, scheme.stream(case_id, r, "test"))
+        for x in replicates(case_spec(case_id), cfg.n, scheme, "test", range(cfg.reps)):
             for name, rejected in bank.decide(x).items():
                 if rejected:
                     counts[case_id][name] += 1

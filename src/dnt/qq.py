@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .normal import normal_quantile
-from .sampling import Sample, standardized_values
+from .sampling import Sample, _as_values, _z_scores
 
 __all__ = [
     "RASTER_SIZE",
@@ -114,7 +114,7 @@ def _normal_scores(n: int) -> np.ndarray:
 
 def qq_points(x: Sample | np.ndarray) -> QQPoints:
     """Sorted standardized sample against normal quantiles."""
-    empirical = np.sort(standardized_values(x))
+    empirical = _z_scores(_as_values(x), ascending=True)
     return QQPoints(_normal_scores(empirical.size), empirical)
 
 

@@ -1,15 +1,18 @@
 """Distribution specs, seeded sampling, and sample-level helpers.
 
-The fifteen benchmark cases live here, together with a deterministic
-substream scheme: every (case, replicate, purpose) triple hashes to its
-own 64-bit seed, so training, calibration, and test draws never share
-a random stream even when they share a master seed.
+The seven laws and the fifteen benchmark cases live here, together with
+a deterministic substream scheme: every (case, replicate, purpose)
+triple hashes to its own 64-bit seed, so training, calibration, and
+test draws never share a random stream even when they share a master
+seed. The one vector check and the row-wise z-score and central-moment
+kernels, shared by qq, features and classical, live here too.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,26 @@ __all__ = [
     "sample_moments",
 ]
 
-KINDS = ("Normal", "StudentT", "Uniform", "Beta", "Laplace", "Gamma", "ChiSquare")
+# kind -> (parameter count, parameter check, its refusal, draw of n values
+# from a Generator); KINDS, DistributionSpec and sample() all read it.
+_LAWS = {
+    "Normal": (2, lambda p: p[1] > 0, "Normal scale must be > 0",
+               lambda rng, p, n: rng.normal(*p, n)),
+    "StudentT": (1, lambda p: p[0] > 0, "StudentT df must be > 0",
+                 lambda rng, p, n: rng.standard_t(*p, n)),
+    "Uniform": (2, lambda p: p[0] < p[1], "Uniform needs a < b",
+                lambda rng, p, n: rng.uniform(*p, n)),
+    "Beta": (2, lambda p: min(p) > 0, "Beta needs a > 0 and b > 0",
+             lambda rng, p, n: rng.beta(*p, n)),
+    "Laplace": (2, lambda p: p[1] > 0, "Laplace scale must be > 0",
+                lambda rng, p, n: rng.laplace(*p, n)),
+    "Gamma": (2, lambda p: min(p) > 0, "Gamma needs shape > 0 and rate > 0",
+              lambda rng, p, n: rng.gamma(p[0], 1.0 / p[1], n)),
+    "ChiSquare": (1, lambda p: p[0] > 0, "ChiSquare df must be > 0",
+                  lambda rng, p, n: rng.chisquare(*p, n)),
+}
+
+KINDS = tuple(_LAWS)
 
 # (kind, params) per benchmark case id; Gamma params are (shape, rate).
 _CASE_TABLE: dict[int, tuple[str, tuple[float, ...], str]] = {
@@ -49,16 +71,6 @@ _CASE_TABLE: dict[int, tuple[str, tuple[float, ...], str]] = {
     13: ("ChiSquare", (4.0,), "ChiSq(4)"),
     14: ("ChiSquare", (20.0,), "ChiSq(20)"),
     15: ("Normal", (0.0, 1.0), "N(0,1)"),
-}
-
-_PARAM_COUNT = {
-    "Normal": 2,
-    "StudentT": 1,
-    "Uniform": 2,
-    "Beta": 2,
-    "Laplace": 2,
-    "Gamma": 2,
-    "ChiSquare": 1,
 }
 
 
@@ -81,26 +93,15 @@ class DistributionSpec:
             raise InvalidArgumentError(f"unknown distribution kind {self.kind!r}")
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)
-        if len(params) != _PARAM_COUNT[self.kind]:
+        count, valid, refusal, _ = _LAWS[self.kind]
+        if len(params) != count:
             raise InvalidArgumentError(
-                f"{self.kind} takes {_PARAM_COUNT[self.kind]} parameter(s), got {len(params)}"
+                f"{self.kind} takes {count} parameter(s), got {len(params)}"
             )
         if not all(np.isfinite(params)):
             raise InvalidArgumentError("distribution parameters must be finite")
-        if self.kind == "Normal" and params[1] <= 0:
-            raise InvalidArgumentError("Normal scale must be > 0")
-        if self.kind == "StudentT" and params[0] <= 0:
-            raise InvalidArgumentError("StudentT df must be > 0")
-        if self.kind == "Uniform" and params[1] <= params[0]:
-            raise InvalidArgumentError("Uniform needs a < b")
-        if self.kind == "Beta" and (params[0] <= 0 or params[1] <= 0):
-            raise InvalidArgumentError("Beta needs a > 0 and b > 0")
-        if self.kind == "Laplace" and params[1] <= 0:
-            raise InvalidArgumentError("Laplace scale must be > 0")
-        if self.kind == "Gamma" and (params[0] <= 0 or params[1] <= 0):
-            raise InvalidArgumentError("Gamma needs shape > 0 and rate > 0")
-        if self.kind == "ChiSquare" and params[0] <= 0:
-            raise InvalidArgumentError("ChiSquare df must be > 0")
+        if not valid(params):
+            raise InvalidArgumentError(refusal)
         if self.case_id is not None:
             row = _CASE_TABLE.get(self.case_id)
             if row is None:
@@ -127,14 +128,7 @@ class Sample:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise InvalidArgumentError("sample values must be a 1-D vector")
-        if values.size < 3:
-            raise InsufficientDataError("sample needs at least 3 values")
-        if not np.all(np.isfinite(values)):
-            raise InvalidArgumentError("sample values must all be finite")
-        values = values.copy()
+        values = _as_values(self.values).copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -270,40 +264,73 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> Sample:
     if n < 3:
         raise InsufficientDataError("sample size must be at least 3")
     rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
-    p = spec.params
-    if spec.kind == "Normal":
-        values = rng.normal(p[0], p[1], size=n)
-    elif spec.kind == "StudentT":
-        values = rng.standard_t(p[0], size=n)
-    elif spec.kind == "Uniform":
-        values = rng.uniform(p[0], p[1], size=n)
-    elif spec.kind == "Beta":
-        values = rng.beta(p[0], p[1], size=n)
-    elif spec.kind == "Laplace":
-        values = rng.laplace(p[0], p[1], size=n)
-    elif spec.kind == "Gamma":
-        values = rng.gamma(p[0], 1.0 / p[1], size=n)
-    else:  # ChiSquare
-        values = rng.chisquare(p[0], size=n)
+    values = _LAWS[spec.kind][3](rng, spec.params, n)
     return Sample(values, spec=spec, seed=int(seed) & _MASK64)
 
 
+def replicates(
+    spec: DistributionSpec, n: int, scheme: SeedScheme, purpose: str, indices: Iterable[int]
+) -> Iterator[Sample]:
+    """Draw replicate r of spec for each r in indices, yielding one at a time.
+
+    Replicate r comes from ``scheme.stream(case, r, purpose)``, where case
+    is spec's benchmark row id, or 0 for a law off the table.
+    """
+    case_id = benchmark_case_id(spec.kind, spec.params) or 0
+    for r in indices:
+        yield sample(spec, n, scheme.stream(case_id, r, purpose))
+
+
 def _as_values(x: Sample | np.ndarray) -> np.ndarray:
-    values = x.values if isinstance(x, Sample) else np.asarray(x, dtype=float)
-    if values.ndim != 1 or values.size < 3:
-        raise InsufficientDataError("need a 1-D vector of at least 3 values")
+    """x as a float vector: 1-D, n >= 3 and finite, or refused."""
+    if isinstance(x, Sample):
+        return x.values  # checked when the Sample was built
+    values = np.asarray(x, dtype=float)
+    if values.ndim != 1:
+        raise InvalidArgumentError("sample values must be a 1-D vector")
+    if values.size < 3:
+        raise InsufficientDataError("sample needs at least 3 values")
     if not np.isfinite(values).all():
-        raise InvalidArgumentError("values must all be finite")
-    return np.asarray(values, dtype=float)
+        raise InvalidArgumentError("sample values must all be finite")
+    return values
+
+
+# Row kernels over an (rows, n) array or one n-vector: ``np.add.reduce``
+# along the last axis sums each row exactly as it sums a 1-D vector.
+def _centered(x: np.ndarray) -> np.ndarray:
+    """Each row minus its mean (the mean ``ndarray.mean`` gives, bit for bit)."""
+    return x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
+def _central_moment(centered: np.ndarray, power: int) -> np.ndarray:
+    """Each row's mean of centered**power."""
+    return np.add.reduce(centered**power, axis=-1) / centered.shape[-1]
+
+
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's second, third and fourth central moments; zero variance is refused."""
+    centered = _centered(x)
+    m2 = _central_moment(centered, 2)
+    if (m2 == 0.0).any():
+        raise InsufficientDataError("degenerate sample: zero variance")
+    return m2, _central_moment(centered, 3), _central_moment(centered, 4)
+
+
+def _z_scores(x: np.ndarray, ascending: bool = False) -> np.ndarray:
+    """Each row's z-scores under the mean / population-sd fit, sorted if asked."""
+    z = _centered(x)
+    sd = np.sqrt(_central_moment(z, 2))[..., np.newaxis]
+    if (sd == 0.0).any():
+        raise InsufficientDataError("degenerate sample: zero variance")
+    z /= sd
+    if ascending:
+        z.sort(axis=-1)
+    return z
 
 
 def standardized_values(x: Sample | np.ndarray) -> np.ndarray:
     """The values of ``standardize(x)`` as a plain array, with no Sample built."""
-    values = _as_values(x)
-    sd = float(values.std())
-    if sd == 0.0:
-        raise InsufficientDataError("degenerate sample: zero variance")
-    return (values - values.mean()) / sd
+    return _z_scores(_as_values(x))
 
 
 def standardize(x: Sample | np.ndarray) -> Sample:
@@ -316,11 +343,5 @@ def standardize(x: Sample | np.ndarray) -> Sample:
 def sample_moments(x: Sample | np.ndarray) -> tuple[float, float, float, float]:
     """(mean, population sd, skewness m3/m2^1.5, kurtosis m4/m2^2)."""
     values = _as_values(x)
-    mean = float(values.mean())
-    centered = values - mean
-    m2 = float(np.mean(centered**2))
-    if m2 == 0.0:
-        raise InsufficientDataError("degenerate sample: zero variance")
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
-    return mean, m2**0.5, m3 / m2**1.5, m4 / m2**2
+    m2, m3, m4 = (float(m) for m in _moments(values))
+    return float(values.mean()), m2**0.5, m3 / m2**1.5, m4 / m2**2

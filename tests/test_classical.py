@@ -376,20 +376,43 @@ class TestEdgeInputs:
         """The z-score statistics survive; the moment statistics overflow.
 
         The squared deviations overflow to inf, so the fitted sd is inf
-        and every z is 0: KS, AD and GLB score the all-ties sample. JB
-        and BS reach a non-finite value, which is refused. (GG's
-        Python-float tail raises OverflowError here and is not pinned.)
+        and every z is 0: KS, AD and GLB score the all-ties sample. JB,
+        GG and BS reach a non-finite value, which is refused; for GG
+        that value is an overflow of its Python-float tail.
         """
         x = HUGE_SAMPLES[label]
         with np.errstate(over="ignore", invalid="ignore"):
             assert ks_statistic(x).value == 0.5
             assert ad_statistic(x).value == 1.931471805599453
             assert glb_statistic(x).value == 1.9314718055994522
-            for name in ("JB", "BS"):
-                with pytest.raises(InvalidArgumentError):
+            for name in ("JB", "GG", "BS"):
+                with pytest.raises(InvalidArgumentError, match="must be finite"):
                     statistic_fn(name)(x)
-                with pytest.raises(InvalidArgumentError):
+                with pytest.raises(InvalidArgumentError, match="must be finite"):
                     calibration_kernel(statistic_fn(name))(np.stack([x, x + 1e299]))
+
+    @pytest.mark.parametrize(
+        "name, x",
+        [
+            ("GG", np.array([1e-310, -1e-310, 5e-311, 0.0, 3e-311])),
+            ("GG", np.array([1e100, -1e100, 5e99, 0.0, 3e99])),
+            ("JB", np.array([1e100, -1e100, 5e99, 0.0, 3e99])),
+        ],
+        ids=["GG-1e-310", "GG-1e100", "JB-1e100"],
+    )
+    def test_python_float_tail_faults_are_refused(self, name: str, x: np.ndarray) -> None:
+        """A Python-float tail that would overflow or divide by zero is refused.
+
+        Near 1e-310 GG's j**3 reaches 0; near 1e100 the fourth moment
+        overflows, and JB's m2**2 and GG's j**3 with it. Either way the
+        value is non-finite and refused alone and as one row of a chunk.
+        """
+        chunk = np.stack([sample(case_spec(15), 5, s).values for s in range(3)] + [x])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidArgumentError, match="must be finite"):
+                statistic_fn(name)(x)
+            with pytest.raises(InvalidArgumentError, match="must be finite"):
+                calibration_kernel(statistic_fn(name))(chunk)
 
     @pytest.mark.parametrize("name", STATISTIC_NAMES)
     def test_zero_spread_raises_alone_and_in_a_chunk(self, name: str) -> None:

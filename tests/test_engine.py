@@ -325,6 +325,16 @@ class TestDntTest:
         with pytest.raises(ModelMismatchError):
             dnt_test(x, model)
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.ones((2, 5)), np.array([1.0, 2.0]), np.r_[np.nan, np.ones(4)]],
+        ids=["2-D", "2 values", "NaN"],
+    )
+    def test_bad_vectors_fail_the_sample_check_first(self, model, values):
+        """A vector that is not a sample is refused as such, not as a mismatch."""
+        with pytest.raises(InvalidArgumentError):
+            dnt_test(values, model)
+
     def test_p_value_counts_null_distances_at_or_above(self, model):
         """p = (1 + #{null >= statistic}) / (N + 1), checked by a plain loop."""
         x = sample(case_spec(15), 20, seed=5)

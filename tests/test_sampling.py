@@ -6,6 +6,9 @@ Tests cover:
 - SeedScheme determinism and stream disjointness
 - sampled draws following the right law (KS check against scipy CDFs)
 - standardize and sample_moments
+- the kind table, the replicate draws, and the one vector check
+- the shared z-score kernel behind qq_points, extract_raw and the
+  classical statistics
 """
 
 from __future__ import annotations
@@ -14,18 +17,24 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from dnt.classical import STATISTIC_NAMES, statistic_fn
 from dnt.errors import InsufficientDataError, InvalidArgumentError
+from dnt.features import extract_raw
+from dnt.qq import qq_points
 from dnt.sampling import (
     KINDS,
     DistributionSpec,
     Sample,
     SeedScheme,
+    _z_scores,
     benchmark_cases,
     case_spec,
     parse_distribution_label,
+    replicates,
     sample,
     sample_moments,
     standardize,
+    standardized_values,
 )
 
 EXPECTED_LABELS = {
@@ -88,6 +97,30 @@ class TestDistributionSpec:
     def test_rejects_invalid_params(self, kind: str, params: tuple) -> None:
         with pytest.raises(InvalidArgumentError):
             DistributionSpec(kind, params)
+
+    def test_kinds_keep_their_order(self) -> None:
+        assert KINDS == ("Normal", "StudentT", "Uniform", "Beta", "Laplace", "Gamma", "ChiSquare")
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("Normal", (0.0,), "Normal takes 2 parameter(s), got 1"),
+            ("ChiSquare", (1.0, 2.0), "ChiSquare takes 1 parameter(s), got 2"),
+            ("Beta", (1.0, float("nan")), "distribution parameters must be finite"),
+            ("Normal", (0.0, 0.0), "Normal scale must be > 0"),
+            ("StudentT", (0.0,), "StudentT df must be > 0"),
+            ("Uniform", (1.0, 1.0), "Uniform needs a < b"),
+            ("Beta", (1.0, 0.0), "Beta needs a > 0 and b > 0"),
+            ("Laplace", (0.0, -1.0), "Laplace scale must be > 0"),
+            ("Gamma", (0.0, 1.0), "Gamma needs shape > 0 and rate > 0"),
+            ("ChiSquare", (-4.0,), "ChiSquare df must be > 0"),
+        ],
+    )
+    def test_refusal_messages(self, kind: str, params: tuple, message: str) -> None:
+        """Each kind's refusal names what is wrong, in these words."""
+        with pytest.raises(InvalidArgumentError) as info:
+            DistributionSpec(kind, params)
+        assert str(info.value) == message
 
     def test_rejects_case_id_mismatch(self) -> None:
         """A case id must match the benchmark table row exactly."""
@@ -261,3 +294,87 @@ class TestStandardizeAndMoments:
         values = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
         _, _, skew, _ = sample_moments(values)
         assert skew == pytest.approx(0.0, abs=1e-14)
+
+
+class TestReplicates:
+    """The one loop that draws replicates by the stream rule."""
+
+    @pytest.mark.parametrize(
+        "spec, stream_case",
+        [
+            (case_spec(7), 7),
+            (DistributionSpec("Laplace", (0.0, 1.0)), 7),
+            (DistributionSpec("Normal", (2.0, 3.0)), 0),
+        ],
+        ids=["table-spec", "table-law-without-case-id", "off-table"],
+    )
+    def test_yields_exactly_the_stream_draws(self, spec, stream_case: int) -> None:
+        """Replicate r is sample(spec, n, scheme.stream(case, r, purpose))."""
+        scheme = SeedScheme(11)
+        indices = [4, 0, 9, 2]
+        drawn = list(replicates(spec, 12, scheme, "test", indices))
+        assert len(drawn) == len(indices)
+        for r, x in zip(indices, drawn):
+            expected = sample(spec, 12, scheme.stream(stream_case, r, "test"))
+            assert x.values.tobytes() == expected.values.tobytes()
+            assert (x.spec, x.seed) == (spec, expected.seed)
+
+    def test_draws_one_at_a_time(self) -> None:
+        """A replicate is drawn only when it is asked for."""
+
+        def indices():
+            yield 3
+            raise AssertionError("replicate 2 was asked for before replicate 1 was used")
+
+        draws = replicates(case_spec(15), 10, SeedScheme(0), "test", indices())
+        assert next(draws).seed == SeedScheme(0).stream(15, 3, "test")
+
+
+class TestSharedZScores:
+    """One z-score kernel behind qq_points, extract_raw and the statistics."""
+
+    @pytest.mark.parametrize("n", [3, 10, 100])
+    @pytest.mark.parametrize("case", range(1, 16))
+    def test_consumers_agree_bytewise(self, case: int, n: int) -> None:
+        x = sample(case_spec(case), n, 500 + case)
+        row = _z_scores(x.values[np.newaxis, :], ascending=True)[0]
+        assert qq_points(x).empirical.tobytes() == row.tobytes()
+        assert extract_raw(x).values.tobytes() == row.tobytes()
+        unsorted = _z_scores(x.values[np.newaxis, :])[0]
+        assert standardized_values(x).tobytes() == unsorted.tobytes()
+        assert np.sort(unsorted).tobytes() == row.tobytes()
+
+
+BAD_VECTORS = {
+    "2-D": np.arange(12.0).reshape(3, 4),
+    "2 values": np.array([1.0, 2.0]),
+    "NaN": np.array([1.0, np.nan, 2.0, 3.0]),
+}
+VECTOR_CONSUMERS = {
+    "Sample": Sample,
+    "standardize": standardize,
+    "standardized_values": standardized_values,
+    "sample_moments": sample_moments,
+    "qq_points": qq_points,
+    "extract_raw": extract_raw,
+    **{f"{name.lower()}_statistic": statistic_fn(name) for name in STATISTIC_NAMES},
+}
+
+
+class TestVectorCheck:
+    """Every entry point refuses the same bad vectors with the same check."""
+
+    @pytest.mark.parametrize("label", sorted(BAD_VECTORS))
+    @pytest.mark.parametrize("consumer", sorted(VECTOR_CONSUMERS))
+    def test_bad_vectors_are_refused(self, consumer: str, label: str) -> None:
+        with pytest.raises(InvalidArgumentError):
+            VECTOR_CONSUMERS[consumer](BAD_VECTORS[label])
+
+    def test_error_types(self) -> None:
+        """Too few values is InsufficientDataError; shape and NaN are not."""
+        with pytest.raises(InsufficientDataError):
+            Sample(BAD_VECTORS["2 values"])
+        for label in ("2-D", "NaN"):
+            with pytest.raises(InvalidArgumentError) as info:
+                Sample(BAD_VECTORS[label])
+            assert not isinstance(info.value, InsufficientDataError)
