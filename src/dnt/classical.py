@@ -35,7 +35,7 @@ from scipy import special
 
 from .errors import InsufficientDataError, InvalidArgumentError
 from .normal import normal_cdf
-from .sampling import Sample, _as_values, _central_moment, _centered, _moments, _z_scores
+from .sampling import Sample, _array, _as_values, _central_moment, _centered, _moments, _z_scores
 
 __all__ = [
     "TestStatistic",
@@ -206,8 +206,8 @@ def _single(name: str, x: Sample | np.ndarray) -> TestStatistic:
 
 
 def _check_u(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size < 1:
+    u = _array(u, "u")
+    if u.size < 1:
         raise InvalidArgumentError("u must be a nonempty 1-D vector")
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise InvalidArgumentError("u values must lie strictly inside (0, 1)")
@@ -320,9 +320,7 @@ def calibration_kernel(fn):
     two_sided = _DIRECTION[name] == "reject-two-sided"
 
     def calibration_values(rows: np.ndarray) -> np.ndarray:
-        values = kernel(rows)
-        if not np.isfinite(values).all():
-            raise InvalidArgumentError("statistic value must be finite")
+        values = _array(kernel(rows), "statistic value")
         return np.abs(values) if two_sided else values
 
     return calibration_values

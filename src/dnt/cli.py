@@ -1,8 +1,8 @@
 """Command-line interface: train, test, power, render, calibrate.
 
 Exit codes: 0 success (or "accept" for `test`), 1 reject for `test`,
-2 usage/validation/config error, 3 missing file, 4 malformed data or
-model file, 5 model incompatible with the supplied data.
+2 usage/validation/config error, 3 missing or unreadable file,
+4 malformed data or model file, 5 model incompatible with the supplied data.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def entrypoint(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:  # missing, a directory, under a regular file, not permitted
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except DntError as exc:

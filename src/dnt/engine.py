@@ -47,7 +47,9 @@ from .sampling import (
     DistributionSpec,
     Sample,
     SeedScheme,
+    _array,
     _as_values,
+    _frozen,
     benchmark_case_id,
     case_spec,
     parse_distribution_label,
@@ -176,26 +178,22 @@ class DNTModel:
     config: TrainConfig
 
     def __post_init__(self) -> None:
-        centroid = np.asarray(self.centroid, dtype=float).copy()
-        null = np.asarray(self.null_distances, dtype=float).copy()
+        centroid = _frozen(self, "centroid", _array(self.centroid, "centroid"))
+        null = _frozen(self, "null_distances", _array(self.null_distances, "null_distances"))
         cfg = self.config  # validated, so the equality also checks the copies
         if (self.extractor_id, self.n, self.alpha) != (cfg.extractor, cfg.n, cfg.alpha):
             raise InvalidArgumentError("extractor_id, n and alpha disagree with config")
-        if centroid.ndim != 1 or centroid.size != self.selection.d:
+        if centroid.size != self.selection.d:
             raise InvalidArgumentError("centroid length must equal selection.d")
         if self.metric.dim != self.selection.d:
             raise InvalidArgumentError("metric dimension must equal selection.d")
-        if null.ndim != 1 or null.size == 0 or np.any(np.diff(null) < 0):
+        if null.size == 0 or np.any(np.diff(null) < 0):
             raise InvalidArgumentError("null_distances must be sorted ascending")
         expected = float(null[_quantile_index(null.size, self.alpha) - 1])
         if self.cutoff != expected:
             raise InvalidArgumentError(
                 "cutoff is not the (1-alpha) order statistic of null_distances"
             )
-        centroid.flags.writeable = False
-        null.flags.writeable = False
-        object.__setattr__(self, "centroid", centroid)
-        object.__setattr__(self, "null_distances", null)
 
 
 def extract_features(x: Sample | np.ndarray, extractor_id: str) -> FeatureVector:
@@ -499,7 +497,7 @@ class _Reader:
         return value
 
     def array(self, key: str, dtype: np.dtype = _FLOAT) -> np.ndarray:
-        """A native-order copy of a base64 array field; floats must be finite."""
+        """A read-only view of a base64 array field (the model types copy it); floats finite."""
         where = f"{self.where}.{key}"
         if not isinstance(self.payload.get(key, ""), str):
             raise FormatError(f"{where}: expected a base64 string of {dtype.str} values")
@@ -516,7 +514,7 @@ class _Reader:
             raise FormatError(
                 f"{where}: {len(raw)} bytes is not a whole number of {dtype.itemsize}-byte values"
             )
-        values = np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
+        values = np.frombuffer(raw, dtype=dtype)
         if dtype.kind == "f" and not np.all(np.isfinite(values)):
             raise FormatError(f"{where}: holds a NaN or infinite value")
         return values

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .qq import RASTER_SIZE, QQRaster
-from .sampling import Sample, _as_values, _z_scores
+from .sampling import Sample, _array, _as_values, _frozen, _z_scores
 
 __all__ = [
     "EXTRACTOR_IDS",
@@ -49,23 +49,17 @@ class FeatureVector:
     selected: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float).copy()
-        if values.ndim != 1 or values.size == 0:
+        values = _frozen(self, "values", _array(self.values, "feature values"))
+        if values.size == 0:
             raise InvalidArgumentError("feature values must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(values)):
-            raise InvalidArgumentError("feature values must be finite")
         if self.extractor_id not in EXTRACTOR_IDS:
             raise InvalidArgumentError(f"unknown extractor {self.extractor_id!r}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
         if self.selected is not None:
-            mask = np.asarray(self.selected, dtype=int).copy()
-            if mask.ndim != 1 or mask.size != values.size:
+            mask = _frozen(self, "selected", _array(self.selected, "selected mask", int))
+            if mask.size != values.size:
                 raise InvalidArgumentError("selected mask must list one source index per value")
             if np.any(np.diff(mask) <= 0):
                 raise InvalidArgumentError("selected mask must be strictly increasing")
-            mask.flags.writeable = False
-            object.__setattr__(self, "selected", mask)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -79,11 +73,9 @@ class SelectionModel:
     mask: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=float).copy()
-        mask = np.asarray(self.mask, dtype=int).copy()
-        if scores.ndim != 1 or mask.ndim != 1:
-            raise InvalidArgumentError("scores and mask must be 1-D")
-        if not np.all(np.isfinite(scores)) or np.any(scores < 0):
+        scores = _frozen(self, "scores", _array(self.scores, "scores"))
+        mask = _frozen(self, "mask", _array(self.mask, "mask", int))
+        if np.any(scores < 0):
             raise InvalidArgumentError("scores must be finite and nonnegative")
         if mask.size == 0 or mask.size > scores.size:
             raise InvalidArgumentError("mask size must be in 1..len(scores)")
@@ -91,10 +83,6 @@ class SelectionModel:
             raise InvalidArgumentError("mask indices out of bounds")
         if np.any(np.diff(mask) <= 0):
             raise InvalidArgumentError("mask must be strictly increasing")
-        scores.flags.writeable = False
-        mask.flags.writeable = False
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "mask", mask)
 
     @property
     def d(self) -> int:
@@ -137,19 +125,21 @@ def extract_image(r: QQRaster) -> FeatureVector:
 
 
 def _as_matrix(vectors: list[FeatureVector] | np.ndarray, what: str) -> tuple[np.ndarray, str | None]:
+    """A finite (rows >= 2, features) matrix and the vectors' extractor (None for a matrix)."""
     if isinstance(vectors, np.ndarray):
-        matrix = np.asarray(vectors, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] < 2:
-            raise InvalidArgumentError(f"{what} needs a 2-D matrix with at least 2 rows")
-        return matrix, None
-    if len(vectors) < 2:
-        raise InvalidArgumentError(f"{what} needs at least 2 vectors")
-    extractor = vectors[0].extractor_id
-    length = len(vectors[0])
-    for v in vectors:
-        if v.extractor_id != extractor or len(v) != length:
-            raise InvalidArgumentError(f"{what} vectors must share extractor and length")
-    return np.stack([v.values for v in vectors]), extractor
+        matrix, extractor = _array(vectors, what, ndim=2), None
+    else:
+        if len(vectors) < 2:
+            raise InvalidArgumentError(f"{what} needs at least 2 vectors")
+        extractor = vectors[0].extractor_id
+        length = len(vectors[0])
+        for v in vectors:
+            if v.extractor_id != extractor or len(v) != length:
+                raise InvalidArgumentError(f"{what} vectors must share extractor and length")
+        matrix = np.stack([v.values for v in vectors])
+    if matrix.shape[0] < 2:
+        raise InvalidArgumentError(f"{what} needs a 2-D matrix with at least 2 rows")
+    return matrix, extractor
 
 
 def fit_selection(

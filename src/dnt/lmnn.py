@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, TrainingError
-from .features import FeatureVector
+from .features import FeatureVector, _as_matrix
+from .sampling import _array, _frozen
 
 __all__ = [
     "MetricMatrix",
@@ -46,18 +47,14 @@ class MetricMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float).copy()
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        m = _frozen(self, "matrix", _array(self.matrix, "metric", ndim=2))
+        if m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise InvalidArgumentError("metric must be a nonempty square matrix")
-        if not np.all(np.isfinite(m)):
-            raise InvalidArgumentError("metric entries must be finite")
         if float(np.abs(m - m.T).max()) >= _SYM_TOL:
             raise InvalidArgumentError("metric must be symmetric")
         eigenvalues = np.linalg.eigvalsh(m)
         if float(eigenvalues.min()) < -_EIG_TOL:
             raise InvalidArgumentError("metric must be positive semidefinite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -89,19 +86,14 @@ class TripletSet:
     k: int
 
     def __post_init__(self) -> None:
-        pairs = np.asarray(self.pairs, dtype=np.int64).copy()
-        triplets = np.asarray(self.triplets, dtype=np.int64).copy()
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
+        pairs = _frozen(self, "pairs", _array(self.pairs, "pairs", np.int64, ndim=2))
+        triplets = _frozen(self, "triplets", _array(self.triplets, "triplets", np.int64, ndim=2))
+        if pairs.shape[1] != 2 or pairs.shape[0] == 0:
             raise InvalidArgumentError("pairs must be a nonempty (P, 2) index array")
-        if triplets.size and (triplets.ndim != 2 or triplets.shape[1] != 3):
+        if triplets.shape[1] != 3:
             raise InvalidArgumentError("triplets must be a (T, 3) index array")
         if self.k < 1:
             raise InvalidArgumentError("k must be at least 1")
-        pairs.flags.writeable = False
-        triplets = triplets.reshape(-1, 3)
-        triplets.flags.writeable = False
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "triplets", triplets)
 
 
 @dataclass(frozen=True)
@@ -127,10 +119,7 @@ class LmnnConfig:
 
 
 def _vector(v: FeatureVector | np.ndarray) -> np.ndarray:
-    arr = v.values if isinstance(v, FeatureVector) else np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidArgumentError("expected a 1-D vector")
-    return arr
+    return v.values if isinstance(v, FeatureVector) else _array(v, "vector")
 
 
 def mahalanobis_distance(
@@ -150,18 +139,6 @@ def mahalanobis_distance(
     return float(np.sqrt(max(quad, 0.0)))
 
 
-def _feature_matrix(features: np.ndarray | list[FeatureVector]) -> np.ndarray:
-    if isinstance(features, np.ndarray):
-        matrix = np.asarray(features, dtype=float)
-    else:
-        matrix = np.stack([_vector(v) for v in features])
-    if matrix.ndim != 2 or matrix.shape[0] < 2:
-        raise InvalidArgumentError("need a 2-D feature matrix with at least 2 rows")
-    if not np.all(np.isfinite(matrix)):
-        raise InvalidArgumentError("features must be finite")
-    return matrix
-
-
 def build_triplets(
     features: np.ndarray | list[FeatureVector],
     labels: np.ndarray,
@@ -174,7 +151,7 @@ def build_triplets(
     Euclidean distance with ties broken toward the lower index; the
     result depends only on the input order, never on randomness.
     """
-    x = _feature_matrix(features)
+    x, _ = _as_matrix(features, "build_triplets features")
     y = np.asarray(labels)
     n = x.shape[0]
     if y.shape != (n,):
@@ -283,7 +260,7 @@ def train_metric(
     relative improvement below cfg.tolerance, or step-size underflow,
     and returns the lowest-loss iterate observed.
     """
-    x = _feature_matrix(features)
+    x, _ = _as_matrix(features, "train_metric features")
     ts = build_triplets(x, labels, cfg.k)
     objective = _Objective(x, ts, cfg.push_weight, cfg.margin)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .normal import normal_quantile
-from .sampling import Sample, _as_values, _z_scores
+from .sampling import Sample, _array, _as_values, _frozen, _z_scores
 
 __all__ = [
     "RASTER_SIZE",
@@ -54,18 +54,12 @@ class QQPoints:
     empirical: np.ndarray
 
     def __post_init__(self) -> None:
-        theo = np.asarray(self.theoretical, dtype=float).copy()
-        emp = np.asarray(self.empirical, dtype=float).copy()
-        if theo.ndim != 1 or emp.ndim != 1 or theo.size != emp.size:
+        theo = _frozen(self, "theoretical", _array(self.theoretical, "quantile vectors"))
+        emp = _frozen(self, "empirical", _array(self.empirical, "quantile vectors"))
+        if theo.size != emp.size:
             raise InvalidArgumentError("quantile vectors must be 1-D and equal length")
-        if not (np.all(np.isfinite(theo)) and np.all(np.isfinite(emp))):
-            raise InvalidArgumentError("quantile vectors must be finite")
         if np.any(np.diff(theo) < 0) or np.any(np.diff(emp) < 0):
             raise InvalidArgumentError("quantile vectors must be ascending")
-        theo.flags.writeable = False
-        emp.flags.writeable = False
-        object.__setattr__(self, "theoretical", theo)
-        object.__setattr__(self, "empirical", emp)
 
     @property
     def n(self) -> int:
@@ -80,7 +74,7 @@ class QQRaster:
     value_range: tuple[float, float]
 
     def __post_init__(self) -> None:
-        pixels = np.asarray(self.pixels, dtype=float).copy()
+        pixels = _frozen(self, "pixels", _array(self.pixels, "raster pixels", ndim=2))
         if pixels.shape != (RASTER_SIZE, RASTER_SIZE):
             raise InvalidArgumentError(
                 f"raster must be {RASTER_SIZE}x{RASTER_SIZE}, got {pixels.shape}"
@@ -90,8 +84,6 @@ class QQRaster:
             raise InvalidArgumentError("value_range must be finite with lo < hi")
         if pixels.min() < 0.0 or pixels.max() > 1.0:
             raise InvalidArgumentError("pixel intensities must lie in [0, 1]")
-        pixels.flags.writeable = False
-        object.__setattr__(self, "pixels", pixels)
         object.__setattr__(self, "value_range", (lo, hi))
 
 

@@ -5,7 +5,9 @@ a deterministic substream scheme: every (case, replicate, purpose)
 triple hashes to its own 64-bit seed, so training, calibration, and
 test draws never share a random stream even when they share a master
 seed. The one vector check and the row-wise z-score and central-moment
-kernels, shared by qq, features and classical, live here too.
+kernels, shared by qq, features and classical, live here too, as does
+the one array rule of every value type: ``_array`` converts and checks
+an input, ``_frozen`` stores a read-only copy of it.
 """
 
 from __future__ import annotations
@@ -98,8 +100,7 @@ class DistributionSpec:
             raise InvalidArgumentError(
                 f"{self.kind} takes {count} parameter(s), got {len(params)}"
             )
-        if not all(np.isfinite(params)):
-            raise InvalidArgumentError("distribution parameters must be finite")
+        _array(params, "distribution parameters")
         if not valid(params):
             raise InvalidArgumentError(refusal)
         if self.case_id is not None:
@@ -128,9 +129,7 @@ class Sample:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        values = _as_values(self.values).copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        _frozen(self, "values", _as_values(self.values))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -281,17 +280,41 @@ def replicates(
         yield sample(spec, n, scheme.stream(case_id, r, purpose))
 
 
+def _array(x, what: str, dtype: type = float, ndim: int = 1) -> np.ndarray:
+    """x as an ndim-dimensional array of dtype (float or an integer type), copied only to convert.
+
+    A float array must be finite. An integer array takes only integer or
+    bool input, so a float index is refused instead of truncated.
+    """
+    if dtype is float:
+        values = np.asarray(x, dtype=float)
+    else:
+        values = np.asarray(x)
+        if values.size and values.dtype.kind not in "biu":
+            raise InvalidArgumentError(f"{what} must hold integers, got {values.dtype}")
+        values = values.astype(dtype, copy=False)
+    if values.ndim != ndim:
+        raise InvalidArgumentError(f"{what} must be a {ndim}-D array")
+    if dtype is float and not np.isfinite(values).all():
+        raise InvalidArgumentError(f"{what} must be finite")
+    return values
+
+
+def _frozen(owner: object, name: str, values: np.ndarray) -> np.ndarray:
+    """Store a read-only, C-ordered copy of values as field name of a frozen dataclass."""
+    values = values.copy()  # C order, whatever the input's layout
+    values.flags.writeable = False
+    object.__setattr__(owner, name, values)
+    return values
+
+
 def _as_values(x: Sample | np.ndarray) -> np.ndarray:
-    """x as a float vector: 1-D, n >= 3 and finite, or refused."""
+    """x as a float vector: 1-D, finite and n >= 3, or refused."""
     if isinstance(x, Sample):
         return x.values  # checked when the Sample was built
-    values = np.asarray(x, dtype=float)
-    if values.ndim != 1:
-        raise InvalidArgumentError("sample values must be a 1-D vector")
+    values = _array(x, "sample values")
     if values.size < 3:
         raise InsufficientDataError("sample needs at least 3 values")
-    if not np.isfinite(values).all():
-        raise InvalidArgumentError("sample values must all be finite")
     return values
 
 

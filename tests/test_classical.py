@@ -163,6 +163,12 @@ class TestSeamFunctions:
         with pytest.raises(InvalidArgumentError):
             ad_from_u(u)
 
+    @pytest.mark.parametrize("seam", [ks_from_u, ad_from_u, glb_from_u], ids=lambda f: f.__name__)
+    def test_rejects_nan_u(self, seam) -> None:
+        """NaN passes the (0, 1) and ascending tests, so it is refused as non-finite."""
+        with pytest.raises(InvalidArgumentError):
+            seam(np.array([0.1, np.nan, 0.9]))
+
 
 class TestInvariances:
     """Shared structural properties of all six statistics."""

@@ -2,8 +2,8 @@
 
 Covers all five subcommands (train, test, power, render, calibrate),
 both config-file formats, and the mapping from failure modes to exit
-codes: 0 ok, 1 reject, 2 usage, 3 missing file, 4 bad format, 5 model
-mismatch.
+codes: 0 ok, 1 reject, 2 usage, 3 missing or unreadable file, 4 bad
+format, 5 model mismatch.
 """
 
 from __future__ import annotations
@@ -407,6 +407,39 @@ class TestRenderCommand:
         assert entrypoint(
             ["render", "--dist", "t(2)", "--n", "2", "--out", str(tmp_path / "x.pgm")]
         ) == EXIT_USAGE
+
+
+class TestUnreadablePath:
+    """Any OSError on a path maps to the missing-file code, never to a verdict."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("test", "--model"),
+            ("test", "--data"),
+            ("train", "--config"),
+            ("render", "--out"),
+        ],
+    )
+    def test_path_under_a_regular_file(self, model_path, tmp_path, capsys, command, flag):
+        """NotADirectoryError exits 3 with one stderr line, not 1 with a traceback."""
+        data = tmp_path / "null.txt"
+        write_sample(data, case_id=15)
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_LINES)
+        options = {
+            "test": {"--model": model_path, "--data": data},
+            "train": {"--config": config, "--out": tmp_path / "m.json"},
+            "render": {"--dist": "t(2)", "--out": tmp_path / "x.pgm"},
+        }[command]
+        not_a_dir = tmp_path / "notadir.txt"
+        not_a_dir.write_text("a regular file\n")
+        options[flag] = not_a_dir / "file"
+        argv = [command, *(str(part) for option in options.items() for part in option)]
+        assert entrypoint(argv) == EXIT_MISSING_FILE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f": {options[flag]}\n")
+        assert err.count("\n") == 1
 
 
 class TestCalibrateCommand:

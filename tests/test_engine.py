@@ -520,6 +520,13 @@ class TestModelInvariants:
                 config=model.config,
             )
 
+    def test_rejects_a_nan_centroid(self, model):
+        """A NaN centroid would make every statistic NaN and every verdict accept."""
+        centroid = model.centroid.copy()
+        centroid[0] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            dataclasses.replace(model, centroid=centroid)
+
     def test_arrays_are_read_only(self, model):
         """Stored arrays cannot be mutated in place."""
         with pytest.raises(ValueError):

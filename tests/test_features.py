@@ -147,6 +147,8 @@ class TestFeatureVector:
             FeatureVector(np.ones(3), "RawOrder", selected=np.array([2, 1, 0]))
         with pytest.raises(InvalidArgumentError):
             FeatureVector(np.ones(3), "RawOrder", selected=np.array([0, 1]))
+        with pytest.raises(InvalidArgumentError):  # a float index is not truncated
+            FeatureVector(np.ones(2), "RawOrder", selected=np.array([0.9, 1.7]))
 
     def test_values_read_only(self) -> None:
         vec = FeatureVector(np.ones(3), "RawOrder")
@@ -247,3 +249,5 @@ class TestApplySelection:
             SelectionModel(np.ones(4), np.array([3, 1]))
         with pytest.raises(InvalidArgumentError):
             SelectionModel(np.ones(4), np.array([2, 7]))
+        with pytest.raises(InvalidArgumentError):  # a float index is not truncated
+            SelectionModel(np.ones(4), np.array([0.9, 1.7]))

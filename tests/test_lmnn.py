@@ -92,6 +92,10 @@ class TestMahalanobisDistance:
         with pytest.raises(InvalidArgumentError):
             mahalanobis_distance(np.zeros(2), np.zeros(3), MetricMatrix.identity(2))
 
+    def test_rejects_a_nan_vector(self) -> None:
+        with pytest.raises(InvalidArgumentError):
+            mahalanobis_distance(np.array([np.nan, 0.0]), np.zeros(2), MetricMatrix.identity(2))
+
 
 def _assert_matches_triplet_oracle(x: np.ndarray, labels: np.ndarray, k: int) -> TripletSet:
     ts = build_triplets(x, labels, k)
@@ -180,6 +184,10 @@ class TestBuildTriplets:
             TripletSet(np.empty((0, 2), dtype=int), np.empty((0, 3), dtype=int), k=1)
         with pytest.raises(InvalidArgumentError):
             TripletSet(np.array([[0, 1]]), np.array([[0, 1]]), k=1)
+        with pytest.raises(InvalidArgumentError):  # a float index is not truncated
+            TripletSet(np.array([[0.9, 1.7]]), np.empty((0, 3), dtype=int), k=1)
+        with pytest.raises(InvalidArgumentError):
+            TripletSet(np.array([[0, 1]]), np.array([[0.0, 1.0, 2.5]]), k=1)
 
 
 def _two_class_problem(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -333,3 +341,7 @@ class TestTransform:
     def test_rejects_dimension_mismatch(self) -> None:
         with pytest.raises(InvalidArgumentError):
             transform(np.ones(3), MetricMatrix.identity(2))
+
+    def test_rejects_an_infinite_vector(self) -> None:
+        with pytest.raises(InvalidArgumentError):
+            transform(np.array([np.inf, 0.0]), MetricMatrix.identity(2))

@@ -267,3 +267,10 @@ class TestToPgm:
         assert payload[0] == 128
         assert payload[1] == 255
         assert payload[2] == 0
+
+    def test_raster_refuses_a_nan_pixel(self) -> None:
+        """A NaN pixel passes the [0, 1] range test, so it is refused as non-finite."""
+        pixels = np.zeros((RASTER_SIZE, RASTER_SIZE))
+        pixels[5, 7] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            QQRaster(pixels, (0.0, 1.0))

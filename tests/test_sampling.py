@@ -9,6 +9,8 @@ Tests cover:
 - the kind table, the replicate draws, and the one vector check
 - the shared z-score kernel behind qq_points, extract_raw and the
   classical statistics
+- the one array rule: every array a value type stores is a read-only,
+  C-ordered copy of its declared dtype
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import pytest
 import scipy.stats
 
 from dnt.classical import STATISTIC_NAMES, statistic_fn
+from dnt.engine import DNTModel, TrainConfig
 from dnt.errors import InsufficientDataError, InvalidArgumentError
-from dnt.features import extract_raw
-from dnt.qq import qq_points
+from dnt.features import FeatureVector, SelectionModel, extract_raw
+from dnt.lmnn import MetricMatrix, TripletSet
+from dnt.qq import RASTER_SIZE, QQPoints, QQRaster, qq_points
 from dnt.sampling import (
     KINDS,
     DistributionSpec,
@@ -378,3 +382,81 @@ class TestVectorCheck:
             with pytest.raises(InvalidArgumentError) as info:
                 Sample(BAD_VECTORS[label])
             assert not isinstance(info.value, InsufficientDataError)
+
+
+def _dnt_model(inputs: dict[str, np.ndarray]) -> DNTModel:
+    return DNTModel(
+        extractor_id="RawOrder",
+        selection=SelectionModel(np.ones(4), np.array([0, 2])),
+        metric=MetricMatrix.identity(2),
+        centroid=inputs["centroid"],
+        null_distances=inputs["null_distances"],
+        cutoff=18.0,  # order statistic 19 of 20 at alpha 0.05
+        alpha=0.05,
+        n=10,
+        config=TrainConfig(n=10, d=2),
+    )
+
+
+# type -> (caller's input arrays by field, constructor over them)
+ARRAY_FIELDS = {
+    "Sample": ({"values": np.array([3.0, 1.0, 2.0])}, lambda a: Sample(a["values"])),
+    "QQPoints": (
+        {"theoretical": np.array([-1.0, 0.0, 1.0]), "empirical": np.array([-2.0, 0.5, 1.5])},
+        lambda a: QQPoints(a["theoretical"], a["empirical"]),
+    ),
+    "QQRaster": (
+        {"pixels": np.full((RASTER_SIZE, RASTER_SIZE), 0.25)},
+        lambda a: QQRaster(a["pixels"], (0.0, 1.0)),
+    ),
+    "FeatureVector": (
+        {"values": np.array([1.0, 2.0]), "selected": np.array([0, 3])},
+        lambda a: FeatureVector(a["values"], "RawOrder", selected=a["selected"]),
+    ),
+    "SelectionModel": (
+        {"scores": np.array([3.0, 1.0, 2.0]), "mask": np.array([0, 2])},
+        lambda a: SelectionModel(a["scores"], a["mask"]),
+    ),
+    "MetricMatrix": ({"matrix": np.diag([2.0, 1.0])}, lambda a: MetricMatrix(a["matrix"])),
+    "TripletSet": (
+        {"pairs": np.array([[0, 1], [1, 0]]), "triplets": np.array([[0, 1, 2]])},
+        lambda a: TripletSet(a["pairs"], a["triplets"], k=1),
+    ),
+    "DNTModel": (
+        {"centroid": np.array([0.5, -0.5]), "null_distances": np.arange(20.0)},
+        _dnt_model,
+    ),
+}
+INDEX_FIELDS = {"selected", "mask", "pairs", "triplets"}
+
+
+class TestArrayRule:
+    """Every array field of a value type is checked once and stored as a frozen copy."""
+
+    @pytest.mark.parametrize("kind", sorted(ARRAY_FIELDS))
+    def test_fields_are_read_only_c_ordered_copies(self, kind: str) -> None:
+        inputs, build = ARRAY_FIELDS[kind]
+        inputs = {name: array.copy() for name, array in inputs.items()}
+        value = build(inputs)
+        for name, caller in inputs.items():
+            stored = getattr(value, name)
+            assert not stored.flags.writeable, name
+            assert stored.flags.c_contiguous, name
+            assert stored.dtype == (np.int64 if name in INDEX_FIELDS else np.float64), name
+            assert not np.shares_memory(stored, caller), name
+            before = stored.copy()
+            caller += 1
+            assert np.array_equal(stored, before), name
+
+    def test_transposed_metric_is_stored_in_c_order(self) -> None:
+        """An F-ordered input gives the same bytes as its C-ordered copy."""
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=(5, 5))
+        a = f @ f.T
+        a[0, 1] += 1e-12  # within the symmetry tolerance, so a.T differs from a
+        transposed = a.T
+        assert transposed.flags.f_contiguous and not transposed.flags.c_contiguous
+        stored = MetricMatrix(transposed).matrix
+        assert stored.flags.c_contiguous
+        assert stored.tobytes() == MetricMatrix(np.ascontiguousarray(transposed)).matrix.tobytes()
+        assert stored.tobytes() != MetricMatrix(a).matrix.tobytes()
