@@ -36,13 +36,14 @@ from .features import (
     IMAGE_GRID_LENGTH,
     FeatureVector,
     SelectionModel,
+    _image_grid_rows,
     apply_selection,
     extract_image,
     extract_raw,
     fit_selection,
 )
 from .lmnn import LmnnConfig, MetricMatrix, train_metric
-from .qq import qq_points, rasterize
+from .qq import _render_rows, qq_points, rasterize
 from .sampling import (
     DistributionSpec,
     Sample,
@@ -50,6 +51,7 @@ from .sampling import (
     _array,
     _as_values,
     _frozen,
+    _z_scores,
     benchmark_case_id,
     case_spec,
     parse_distribution_label,
@@ -74,10 +76,13 @@ __all__ = [
 MODEL_FORMAT_VERSION = "dnt-model-v2"
 
 _NULL_CASE = 15
-# Values per calibration chunk: 64 KB of float64, 81 rows at n=100.
+# Values per chunk of replicates: 64 KB of float64, 81 rows at n=100.
 # Larger chunks were no faster and raised peak memory, since the
 # kernels' temporaries are several chunks' worth.
 _CHUNK_VALUES = 8_192
+# Rows per chunk at most, so that a chunk's rasters stay within 2 MB of
+# levels: at n=3, _CHUNK_VALUES alone would give 2,730 rows (45 MB).
+_CHUNK_ROWS = 128
 
 
 def _default_h1_spec() -> DistributionSpec:
@@ -205,6 +210,22 @@ def extract_features(x: Sample | np.ndarray, extractor_id: str) -> FeatureVector
     raise InvalidArgumentError(f"unknown extractor {extractor_id!r}")
 
 
+def _chunks(spec: DistributionSpec, count: int, n: int, scheme: SeedScheme, purpose: str):
+    """Replicates 0..count-1 of spec in consecutive chunks: (first index, list of Samples)."""
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // max(n, 3)))
+    for start in range(0, count, rows):
+        indices = range(start, min(start + rows, count))
+        yield start, list(replicates(spec, n, scheme, purpose, indices))
+
+
+def _feature_rows(samples: np.ndarray, extractor_id: str) -> np.ndarray:
+    """``extract_features`` of each row of a (rows, n) sample block, bit for bit."""
+    z = _z_scores(samples, ascending=True)
+    if extractor_id == "RawOrder":
+        return z
+    return _image_grid_rows(_render_rows(z)[0])
+
+
 def _feature_block(
     spec: DistributionSpec,
     count: int,
@@ -213,10 +234,11 @@ def _feature_block(
     purpose: str,
     extractor_id: str,
 ) -> np.ndarray:
-    return np.stack([
-        extract_features(x, extractor_id).values
-        for x in replicates(spec, n, scheme, purpose, range(count))
-    ])
+    features = np.empty((count, n if extractor_id == "RawOrder" else IMAGE_GRID_LENGTH))
+    for start, chunk in _chunks(spec, count, n, scheme, purpose):
+        values = np.stack([x.values for x in chunk])
+        features[start : start + len(chunk)] = _feature_rows(values, extractor_id)
+    return features
 
 
 def train(cfg: TrainConfig) -> DNTModel:
@@ -282,22 +304,17 @@ def calibrate_cutoff(
     statistic_fn may return a float or a TestStatistic; two-sided
     statistics are calibrated on their absolute value. Replicate r is
     drawn from its own ``calibrate`` stream, in chunks of about
-    _CHUNK_VALUES values; each chunk is scored at once (see
-    _chunk_scorer).
+    _CHUNK_VALUES values and at most _CHUNK_ROWS rows; each chunk is
+    scored at once (see _chunk_scorer).
     """
     if reps < 100:
         raise InvalidArgumentError("calibration needs at least 100 replicates")
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError("alpha must be in (0, 1)")
     scheme = SeedScheme(seed)
-    null_spec = case_spec(_NULL_CASE)
     score = _chunk_scorer(statistic_fn)
-    rows = max(1, _CHUNK_VALUES // max(n, 3))
     values = np.empty(reps)
-    for start in range(0, reps, rows):
-        chunk = list(
-            replicates(null_spec, n, scheme, "calibrate", range(start, min(start + rows, reps)))
-        )
+    for start, chunk in _chunks(case_spec(_NULL_CASE), reps, n, scheme, "calibrate"):
         values[start : start + len(chunk)] = score(chunk)
     values.sort()
     return float(values[_quantile_index(reps, alpha) - 1])
@@ -307,10 +324,12 @@ def _chunk_scorer(statistic_fn):
     """Calibration values of a list of null Samples under statistic_fn.
 
     A registered classical statistic (or a ``functools.wraps`` wrapper
-    of one) scores the whole chunk with one call of its row kernel;
-    any other callable is applied sample by sample.
+    of one), or a callable with a ``calibration_rows`` block form such
+    as ``power.null_statistic("SSIM", n)``, scores the whole chunk with
+    one call on its (rows, n) values; any other callable is applied
+    sample by sample.
     """
-    kernel = calibration_kernel(statistic_fn)
+    kernel = calibration_kernel(statistic_fn) or getattr(statistic_fn, "calibration_rows", None)
     if kernel is not None:
         return lambda chunk: kernel(np.stack([x.values for x in chunk]))
     return lambda chunk: [

@@ -2,9 +2,11 @@
 
 Two extractors: RawOrder (the sorted standardized sample itself) and
 ImageGrid (cell statistics of the 128x128 raster plus four global
-summaries, 196 features). Selection keeps the d features with the
-largest Welch-style separation between a null and an alternative
-class; it is closed-form and deterministic.
+summaries, 196 features); its one kernel, ``_image_grid_rows``, takes
+a block of rendered levels or of float rasters, and ``extract_image``
+is its one-row call. Selection keeps the d features with the largest
+Welch-style separation between a null and an alternative class; it is
+closed-form and deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .qq import RASTER_SIZE, QQRaster
+from .qq import _POINT_LEVEL, RASTER_SIZE, QQRaster
 from .sampling import Sample, _array, _as_values, _frozen, _z_scores
 
 __all__ = [
@@ -34,10 +36,8 @@ _CELL = 16
 _GRID = RASTER_SIZE // _CELL
 IMAGE_GRID_LENGTH = _GRID * _GRID * 3 + 4
 _INDEX = np.arange(RASTER_SIZE)
-# _BLOCK[g, i] is 1 when pixel row/column i lies in cell g; _INNER[g, j]
-# is 1 when forward difference j lies inside cell g.
-_BLOCK = (np.arange(_GRID)[:, None] == _INDEX // _CELL).astype(float)
-_INNER = _BLOCK[:, :-1] * (_INDEX[:-1] % _CELL != _CELL - 1)
+# Values behind each cell statistic: pixels, then inner differences across and down.
+_CELL_COUNTS = np.array([_CELL * _CELL, _CELL * (_CELL - 1), _CELL * (_CELL - 1)])
 
 
 @dataclass(frozen=True)
@@ -105,23 +105,55 @@ def extract_image(r: QQRaster) -> FeatureVector:
     difference, mean absolute vertical forward difference. Global:
     mean, population sd, and the mean row and column index of the
     point-level (intensity 1.0) pixels, 0.0 when there are none.
-
-    Cell sums are block sums ``_BLOCK @ X @ _BLOCK.T``; ``_INNER`` drops
-    the differences across cell boundaries. Raster pixels are 0, 0.5 or
-    1, so every sum is exact and each mean is one rounding of it.
     """
-    pixels = r.pixels
-    cell_mean = _BLOCK @ pixels @ _BLOCK.T / (_CELL * _CELL)
-    hdiff = _BLOCK @ np.abs(pixels[:, 1:] - pixels[:, :-1]) @ _INNER.T / (_CELL * (_CELL - 1))
-    vdiff = _INNER @ np.abs(pixels[1:] - pixels[:-1]) @ _BLOCK.T / (_CELL * (_CELL - 1))
-    per_cell = np.stack([cell_mean, hdiff, vdiff], axis=2).reshape(-1)
+    return FeatureVector(_image_grid_rows(r.pixels[np.newaxis], 1.0)[0], "ImageGrid")
 
-    point = pixels == 1.0
-    count = point.sum()
-    row_mean = float(point.sum(axis=1) @ _INDEX / count) if count else 0.0
-    col_mean = float(point.sum(axis=0) @ _INDEX / count) if count else 0.0
-    global_stats = np.array([pixels.mean(), pixels.std(), row_mean, col_mean])
-    return FeatureVector(np.concatenate([per_cell, global_stats]), "ImageGrid")
+
+def _image_grid_rows(images: np.ndarray, top=_POINT_LEVEL) -> np.ndarray:
+    """ImageGrid vector of each image of a (rows, 128, 128) block.
+
+    A pixel's intensity is its image value divided by top: 1.0 for float
+    rasters, and by default the point level 2 of rendered uint8 levels
+    (``qq._render_rows``). Each cell statistic is a block sum over one
+    of three planes (the image, and its absolute forward differences
+    across and down, zeroed across cell edges), divided once by top
+    times its count. Rendered pixels are multiples of 0.5, so every sum
+    is exact in any order, and levels give their pixels' vector bit for
+    bit. Level sums fit int8 down a cell's 16 rows (at most 32) and
+    int16 across its columns (at most 512).
+    """
+    rows = images.shape[0]
+    exact = images.dtype.kind != "f"
+    if exact:  # signed, so differences do not wrap
+        images = images.view(np.int8)
+    planes = np.empty((3, *images.shape), dtype=images.dtype)  # every entry is written
+    planes[0] = images
+    np.subtract(images[:, :, 1:], images[:, :, :-1], out=planes[1, :, :, :-1])
+    np.subtract(images[:, 1:], images[:, :-1], out=planes[2, :, :-1])
+    np.abs(planes[1:], out=planes[1:])
+    planes[1, :, :, _CELL - 1 :: _CELL] = 0
+    planes[2, :, _CELL - 1 :: _CELL] = 0
+    narrow, wide = (np.int8, np.int16) if exact else (None, None)
+    by_cell_row = planes.reshape(3, rows, _GRID, _CELL, RASTER_SIZE)
+    columns = np.add.reduce(by_cell_row, axis=3, dtype=narrow)
+    sums = np.add.reduce(columns.reshape(3, rows, _GRID, _GRID, _CELL), axis=4, dtype=wide)
+    per_cell = (np.moveaxis(sums, 0, -1) / (top * _CELL_COUNTS)).reshape(rows, -1)
+
+    size = RASTER_SIZE * RASTER_SIZE
+    total = sums[0].sum(axis=(1, 2))
+    point = (images == top).view(np.int8)
+    row_count = np.add.reduce(point, axis=2, dtype=np.int16)
+    col_count = np.add.reduce(point, axis=1, dtype=np.int16)
+    count = row_count.sum(axis=1)
+    if exact:  # levels 0, 1, 2 square to level + 2 * [level == 2]
+        var = (size * (total + 2 * count) - total * total) / (size * size * top * top)
+    else:
+        centered = (images - (total / size)[:, None, None]).reshape(rows, 1, size)
+        var = (centered @ centered.transpose(0, 2, 1)).reshape(rows) / size
+    row_mean = np.divide(row_count @ _INDEX, count, out=np.zeros(rows), where=count > 0)
+    col_mean = np.divide(col_count @ _INDEX, count, out=np.zeros(rows), where=count > 0)
+    global_stats = np.stack([total / (top * size), np.sqrt(var), row_mean, col_mean], axis=1)
+    return np.concatenate([per_cell, global_stats], axis=1)
 
 
 def _as_matrix(vectors: list[FeatureVector] | np.ndarray, what: str) -> tuple[np.ndarray, str | None]:

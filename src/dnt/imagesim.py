@@ -19,8 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
-from .qq import QQRaster, ideal_points, qq_points, rasterize
-from .sampling import Sample
+from .qq import _POINT_LEVEL, QQRaster, _render_rows, ideal_points, qq_points, rasterize
+from .sampling import Sample, _z_scores
 
 __all__ = [
     "METRIC_NAMES",
@@ -70,11 +70,14 @@ def _filter_valid(img: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, _WINDOW, axis=0) @ _G
 
 
+def _psnr(a: np.ndarray, b: np.ndarray) -> float:
+    mse = float(np.mean((a - b) ** 2))
+    return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
+
+
 def psnr(a: QQRaster, b: QQRaster) -> SimilarityScore:
     """10 log10(1/MSE) on [0,1] intensities; identical images give +inf."""
-    mse = float(np.mean((a.pixels - b.pixels) ** 2))
-    value = math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
-    return SimilarityScore("PSNR", value)
+    return SimilarityScore("PSNR", _psnr(a.pixels, b.pixels))
 
 
 def ssim(a: QQRaster, b: QQRaster) -> SimilarityScore:
@@ -98,7 +101,10 @@ class SimilarityReference:
 
     def ssim_against(self, candidate: QQRaster) -> float:
         """Mean SSIM of candidate against the reference."""
-        pa, pb = candidate.pixels, self._pixels
+        return self._ssim(candidate.pixels)
+
+    def _ssim(self, pa: np.ndarray) -> float:
+        pb = self._pixels
         mu_a = _filter_valid(pa)
         var_a = _filter_valid(pa * pa) - mu_a**2
         mu_b, var_b = self._mu, self._var
@@ -108,14 +114,27 @@ class SimilarityReference:
         return float(np.mean(num / den))
 
     def psnr_against(self, candidate: QQRaster) -> float:
-        return psnr(candidate, self.raster).value
+        return _psnr(candidate.pixels, self._pixels)
 
     def statistic(self, candidate: QQRaster, metric: str) -> float:
         """Negated similarity to the reference; larger means less normal."""
+        return self._statistic(candidate.pixels, metric)
+
+    def statistic_rows(self, samples: np.ndarray, metric: str) -> np.ndarray:
+        """``statistic`` of the raster of each row of a (rows, n) sample block.
+
+        The block gets one z-score pass and one render; no QQPoints or
+        QQRaster is built. Level images halve to the rasters' pixels
+        exactly, so each value is the one-sample value bit for bit.
+        """
+        levels, _, _ = _render_rows(_z_scores(samples, ascending=True))
+        return np.array([self._statistic(image / _POINT_LEVEL, metric) for image in levels])
+
+    def _statistic(self, pixels: np.ndarray, metric: str) -> float:
         if metric == "SSIM":
-            return -self.ssim_against(candidate)
+            return -self._ssim(pixels)
         if metric == "PSNR":
-            return -self.psnr_against(candidate)
+            return -_psnr(pixels, self._pixels)
         raise InvalidArgumentError(f"unknown metric {metric!r}")
 
 

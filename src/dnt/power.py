@@ -119,6 +119,20 @@ class MethodBank:
         return out
 
 
+@dataclass(frozen=True)
+class _SimilarityStatistic:
+    """Negated PSNR or SSIM against reference, of one sample or (calibration_rows) a block."""
+
+    reference: SimilarityReference
+    metric: str
+
+    def __call__(self, x: Sample) -> float:
+        return self.reference.statistic(rasterize(qq_points(x)), self.metric)
+
+    def calibration_rows(self, samples: np.ndarray) -> np.ndarray:
+        return self.reference.statistic_rows(samples, self.metric)
+
+
 def null_statistic(name: str, n: int, reference: SimilarityReference | None = None):
     """The statistic of an untrained method, as calibrate_cutoff takes it.
 
@@ -129,7 +143,7 @@ def null_statistic(name: str, n: int, reference: SimilarityReference | None = No
         return statistic_fn(name)
     if name in METRIC_NAMES:
         ref = SimilarityReference.ideal(n) if reference is None else reference
-        return lambda x: ref.statistic(rasterize(qq_points(x)), name)
+        return _SimilarityStatistic(ref, name)
     raise ConfigError(
         f"unknown statistic {name!r}; valid names are "
         f"{', '.join(STATISTIC_NAMES + METRIC_NAMES)}"

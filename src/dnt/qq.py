@@ -4,10 +4,15 @@ A Q-Q plot here is the sorted standardized sample (vertical axis)
 against normal quantiles at conventional plotting positions
 (horizontal axis). Rasters are 128x128 grayscale with exactly three
 intensities: 0.0 background, 0.5 anchor line y=x, 1.0 data points.
-The anchor line is drawn once into a read-only canvas that each call
-copies. One index write then paints, for all points at once, those of
-each point's 4x4 candidate pixels that lie within the radius; every
-such pixel gets 1.0, so identical inputs give bit-identical images.
+
+One kernel, ``_render_rows``, renders a (rows, n) block, by default
+as uint8 levels 0, 1 and 2: twice the intensities, so a level image
+halves to its raster exactly; ``rasterize`` is its one-row call. The
+anchor line is drawn once into a read-only canvas that the kernel
+copies per row. One index write then paints, for every point of every
+row at once, those of each point's 4x4 candidate pixels that lie on
+the canvas and within the radius, so identical inputs give
+bit-identical images.
 """
 
 from __future__ import annotations
@@ -34,13 +39,17 @@ __all__ = [
 
 RASTER_SIZE = 128
 _POINT_RADIUS = 1.5
-_LINE_LEVEL = 0.5
-_POINT_LEVEL = 1.0
+# Rendered levels: 0 background, 1 anchor line, 2 point; a pixel's
+# intensity is its level / _POINT_LEVEL.
+_POINT_LEVEL = 2
 
-# The anchor line: pixel (last - i, i), bottom-left to top-right corner.
-_CANVAS = np.zeros((RASTER_SIZE, RASTER_SIZE))
-_CANVAS[np.arange(RASTER_SIZE)[::-1], np.arange(RASTER_SIZE)] = _LINE_LEVEL
-_CANVAS.flags.writeable = False
+# The anchor line: pixel (last - i, i), bottom-left to top-right corner,
+# as levels and as pixels.
+_LEVELS = np.zeros((RASTER_SIZE, RASTER_SIZE), dtype=np.uint8)
+_LEVELS[np.arange(RASTER_SIZE)[::-1], np.arange(RASTER_SIZE)] = 1
+_LEVELS.flags.writeable = False
+_PIXELS = _LEVELS / _POINT_LEVEL
+_PIXELS.flags.writeable = False
 # A pixel within 1.5 px of a center c lies at floor(c) + k with
 # k - frac(c) in [-1.5, 1.5], so k is in -1..2 along each axis.
 _OFFSETS = np.arange(-1, 3)
@@ -125,32 +134,58 @@ def rasterize(points: QQPoints) -> QQRaster:
     empirical values increase upward. Each point paints every pixel
     whose center lies within 1.5 px of its mapped location.
     """
-    if points.n < 3:
+    pixels, lo, hi = _render_rows(points.empirical[np.newaxis], points.theoretical, _PIXELS, 1.0)
+    return QQRaster(pixels[0], (lo[0, 0], hi[0, 0]))
+
+
+def _render_rows(
+    empirical: np.ndarray,
+    theoretical: np.ndarray | None = None,
+    canvas: np.ndarray = _LEVELS,
+    point=_POINT_LEVEL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rasterize`` of each row of an ascending (rows, n) empirical block.
+
+    Every row shares the theoretical vector, by default the normal
+    scores, so sorted z-score rows render as their ``qq_points``.
+    Returns the (rows, 128, 128) images, copies of canvas with point
+    painted where ``rasterize`` paints 1.0, and each row's lo and hi as
+    (rows, 1) arrays. Each step is elementwise, so a row's image does
+    not depend on the other rows.
+    """
+    rows, n = empirical.shape
+    if n < 3:
         raise InvalidArgumentError("need at least 3 points to rasterize")
-    coords = np.concatenate([points.theoretical, points.empirical])
-    m = float(coords.min())
-    big = float(coords.max())
-    spread = big - m
-    if spread <= 0.0:
+    if theoretical is None:
+        theoretical = _normal_scores(n)
+    m = np.minimum(theoretical[0], empirical[:, :1])
+    big = np.maximum(theoretical[-1], empirical[:, -1:])
+    spread = big - m  # never negative
+    if not spread.all():
         raise InvalidArgumentError("zero coordinate spread; nothing to render")
-    lo = m - 0.05 * spread
-    hi = big + 0.05 * spread
+    pad = 0.05 * spread
+    lo = m - pad
+    hi = big + pad
 
     last = RASTER_SIZE - 1
     scale = last / (hi - lo)
-    col_center = ((points.theoretical - lo) * scale)[:, None]
-    row_center = (last - (points.empirical - lo) * scale)[:, None]
-    rr = np.floor(row_center).astype(int) + _OFFSETS
-    cc = np.floor(col_center).astype(int) + _OFFSETS
-    dist_sq = ((rr - row_center) ** 2)[:, :, None] + ((cc - col_center) ** 2)[:, None, :]
-    ok = (
-        (dist_sq <= _POINT_RADIUS * _POINT_RADIUS)
-        & ((rr >= 0) & (rr <= last))[:, :, None]
-        & ((cc >= 0) & (cc <= last))[:, None, :]
-    )
-    pixels = _CANVAS.copy()
-    pixels.reshape(-1)[(rr[:, :, None] * RASTER_SIZE + cc[:, None, :])[ok]] = _POINT_LEVEL
-    return QQRaster(pixels, (lo, hi))
+    # Disc centers, [0] row and [1] column, and each one's candidate
+    # pixel indices along that axis with their squared offsets; a
+    # candidate off the canvas gets an infinite offset.
+    centers = np.empty((2, rows, n, 1))
+    centers[0, ..., 0] = last - (empirical - lo) * scale
+    centers[1, ..., 0] = (theoretical - lo) * scale
+    index = np.floor(centers).astype(int) + _OFFSETS
+    offset_sq = np.where((index >= 0) & (index <= last), (index - centers) ** 2, np.inf)
+    ok = offset_sq[0][..., :, None] + offset_sq[1][..., None, :] <= _POINT_RADIUS * _POINT_RADIUS
+    # Row r's image starts at flat index r * 128 * 128.
+    image_start = np.arange(0, rows * RASTER_SIZE * RASTER_SIZE, RASTER_SIZE * RASTER_SIZE)
+    row_index = index[0] * RASTER_SIZE + image_start[:, None, None]
+    flat = row_index[..., :, None] + index[1][..., None, :]
+    images = np.empty((rows, RASTER_SIZE, RASTER_SIZE), dtype=canvas.dtype)
+    images[:] = canvas
+    images.reshape(-1)[flat[ok]] = point
+    return images, lo, hi
 
 
 def to_pgm(raster: QQRaster) -> bytes:

@@ -259,12 +259,15 @@ class SeedScheme:
 
 
 def sample(spec: DistributionSpec, n: int, seed: int) -> Sample:
-    """Draw n i.i.d. values from spec's law, deterministic in seed."""
+    """Draw n i.i.d. values from spec's law, deterministic in seed (0 <= seed < 2**64)."""
     if n < 3:
         raise InsufficientDataError("sample size must be at least 3")
-    rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise InvalidArgumentError("seed must fit in 64 unsigned bits")
+    rng = np.random.Generator(np.random.PCG64(seed))
     values = _LAWS[spec.kind][3](rng, spec.params, n)
-    return Sample(values, spec=spec, seed=int(seed) & _MASK64)
+    return Sample(values, spec=spec, seed=seed)
 
 
 def replicates(

@@ -9,6 +9,7 @@ format, 5 model mismatch.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import re
 
@@ -384,6 +385,26 @@ class TestRenderCommand:
         header = b"P5\n128 128\n255\n"
         assert blob.startswith(header)
         assert len(blob) == len(header) + 128 * 128
+
+    def test_t2_image_is_pinned(self, tmp_path):
+        """SHA-256 of the bytes written at the parent of the block raster path."""
+        out = tmp_path / "plot.pgm"
+        assert entrypoint(
+            ["render", "--dist", "t(2)", "--n", "100", "--seed", "0", "--out", str(out)]
+        ) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d08b165c9e8a065ac888a4c3c1f6b935803096933cd0044ffd7f14f96fb35f65"
+        )
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_a_usage_error(self, tmp_path, capsys, seed):
+        """As for `dnt calibrate`: the seed is refused, not wrapped onto another one."""
+        out = tmp_path / "x.pgm"
+        assert entrypoint(
+            ["render", "--dist", "t(2)", "--seed", seed, "--out", str(out)]
+        ) == EXIT_USAGE
+        assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rendering_is_deterministic(self, tmp_path):
         """The same label and seed produce byte-identical images."""

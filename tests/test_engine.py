@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 
@@ -44,11 +45,16 @@ from dnt import (
 )
 from dnt.classical import statistic_fn
 from dnt.engine import (
+    _CHUNK_ROWS,
     MODEL_FORMAT_VERSION,
+    _chunks,
+    _feature_block,
     config_from_dict,
     config_to_dict,
     extract_features,
 )
+from dnt.features import EXTRACTOR_IDS
+from dnt.sampling import replicates
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -470,6 +476,63 @@ class TestExtractFeatures:
         x = sample(case_spec(15), 23, seed=5)
         with pytest.raises(InvalidArgumentError):
             extract_features(x, "Wavelet")
+
+
+class TestFeatureBlock:
+    """Training's block feature path against extract_features, one replicate at a time."""
+
+    @pytest.mark.parametrize("extractor", EXTRACTOR_IDS)
+    @pytest.mark.parametrize("n, count", [(100, 170), (5, 300)])
+    def test_matches_per_replicate_features(self, extractor, n, count):
+        """Chunks of 81 rows at n=100 and 128 at n=5; neither count is a multiple."""
+        scheme, spec = SeedScheme(6), case_spec(2)
+        block = _feature_block(spec, count, n, scheme, "train-h1", extractor)
+        expected = np.stack([
+            extract_features(x, extractor).values
+            for x in replicates(spec, n, scheme, "train-h1", range(count))
+        ])
+        assert block.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, rows", [(3, _CHUNK_ROWS), (100, 81), (500, 16)])
+    def test_chunks_are_capped_in_rows(self, n, rows):
+        """At n=3 the value budget alone would give 2,730 rows of rasters."""
+        chunks = list(_chunks(case_spec(15), 300, n, SeedScheme(0), "x"))
+        sizes = [len(chunk) for _, chunk in chunks]
+        assert sizes[0] == rows and max(sizes) == rows and sum(sizes) == 300
+        assert [start for start, _ in chunks] == list(range(0, 300, rows))
+
+
+class TestModelDigests:
+    """SHA-256 of the arrays of two small models, pinned at the parent of the block raster path.
+
+    The digest covers what the benchmark's model_digest covers: the
+    selection scores and mask, the metric, the centroid, the null
+    distances and the cutoff. A change to simulation, features, metric
+    learning or calibration that moves any bit fails here.
+    """
+
+    PINS = {
+        "RawOrder": "ad6b71e241cb404ba337e76a1c63d048f8f2cecdf2866556f8909a6741be6c7b",
+        "ImageGrid": "eb8ff887d0c73082ab96be31c6bf6f769910095899c7cf3bef0e7497b8fdda2f",
+    }
+
+    @pytest.mark.parametrize("extractor", sorted(PINS))
+    def test_model_digest(self, extractor):
+        cfg = TrainConfig(
+            n=100,
+            h0_pool=400,
+            h0_keep_fraction=0.1,
+            h1_count=60,
+            d=20,
+            extractor=extractor,
+            lmnn=LmnnConfig(k=5),
+            master_seed=3,
+        )
+        m = train(cfg)
+        digest = hashlib.sha256()
+        for array in (*_arrays(m), np.array([m.cutoff])):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == self.PINS[extractor]
 
 
 class TestModelInvariants:

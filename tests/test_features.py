@@ -4,6 +4,7 @@ Tests cover:
 - raw order-statistic features
 - image-grid features (cell stats plus globals) against plain loops and,
   bit for bit, against the per-pixel oracle
+- the block ImageGrid kernel, row by row against extract_image
 - FeatureVector / SelectionModel validation
 - fit_selection scoring, tie-breaking, and apply_selection
 """
@@ -20,13 +21,15 @@ from dnt.features import (
     IMAGE_GRID_LENGTH,
     FeatureVector,
     SelectionModel,
+    _image_grid_rows,
     apply_selection,
     extract_image,
     extract_raw,
     fit_selection,
 )
-from dnt.qq import RASTER_SIZE, QQRaster, qq_points, rasterize
-from dnt.sampling import case_spec, sample
+from dnt.qq import RASTER_SIZE, QQRaster, _render_rows, qq_points, rasterize
+from dnt.sampling import _z_scores, case_spec, sample
+from test_qq import EDGE_BLOCK, benchmark_block
 
 
 class TestExtractRaw:
@@ -129,6 +132,35 @@ class TestExtractImageOracle:
         raster = QQRaster(pixels, (-1.0, 1.0))
         expected = oracles.oracle_extract_image(raster.pixels.tolist())
         assert np.allclose(extract_image(raster).values, expected, rtol=0.0, atol=1e-12)
+
+
+class TestImageGridRows:
+    """_image_grid_rows over rendered levels, row by row against extract_image."""
+
+    @staticmethod
+    def assert_rows_match(samples: np.ndarray) -> None:
+        levels = _render_rows(_z_scores(samples, ascending=True))[0]
+        block = _image_grid_rows(levels)
+        assert block.shape == (len(samples), IMAGE_GRID_LENGTH)
+        # The same images as float pixels take the float path, bit for bit.
+        assert _image_grid_rows(levels / 2, 1.0).tobytes() == block.tobytes()
+        for i, x in enumerate(samples):
+            assert block[i].tobytes() == extract_image(rasterize(qq_points(x))).values.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 11, 100, 500])
+    def test_benchmark_rows_match_byte_for_byte(self, n: int) -> None:
+        self.assert_rows_match(benchmark_block(n))
+
+    def test_edge_rows_match_byte_for_byte(self) -> None:
+        self.assert_rows_match(EDGE_BLOCK)
+
+    def test_point_free_levels_zero_the_position_features(self) -> None:
+        """A row with no point-level pixel gives 0.0, not a division by zero."""
+        levels = np.zeros((2, RASTER_SIZE, RASTER_SIZE), dtype=np.uint8)
+        levels[1, 5, 7] = 2
+        block = _image_grid_rows(levels)
+        assert block[0, -2:].tolist() == [0.0, 0.0]
+        assert block[1, -2:].tolist() == [5.0, 7.0]
 
 
 class TestFeatureVector:

@@ -2,11 +2,13 @@
 
 Covers RunConfig validation and training-config resolution, PowerTable
 invariants, CSV/markdown emission with byte-identical round-trips,
-parse-time failure modes, and paired evaluation over shared samples.
+parse-time failure modes, paired evaluation over shared samples, and
+the block form of the PSNR/SSIM null statistics.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from dnt import (
@@ -16,13 +18,16 @@ from dnt import (
     PowerTable,
     RunConfig,
     TrainConfig,
+    calibrate_cutoff,
     case_spec,
     emit_table,
     parse_table,
     run_power_study,
     sample,
 )
-from dnt.power import METHOD_NAMES, MethodBank, build_methods
+from dnt.imagesim import SimilarityReference
+from dnt.power import METHOD_NAMES, MethodBank, build_methods, null_statistic
+from dnt.qq import QQRaster
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +202,36 @@ class TestRunPowerStudy:
         verdicts = bank.decide(x)
         assert set(verdicts) == {"KS"}
         assert isinstance(verdicts["KS"], bool)
+
+
+class TestSimilarityNullStatistic:
+    """The PSNR and SSIM statistics that calibrate_cutoff scores a chunk at a time."""
+
+    @pytest.mark.parametrize("name", ["PSNR", "SSIM"])
+    @pytest.mark.parametrize("n", [3, 11, 100])
+    def test_block_form_matches_the_per_sample_form(self, name, n):
+        statistic = null_statistic(name, n)
+        chunk = [sample(case_spec(case), n, seed) for case in (1, 5, 11, 15) for seed in range(4)]
+        block = statistic.calibration_rows(np.stack([x.values for x in chunk]))
+        assert block.tobytes() == np.array([statistic(x) for x in chunk]).tobytes()
+
+    @pytest.mark.parametrize("name", ["PSNR", "SSIM"])
+    def test_block_form_matches_against_any_reference(self, name):
+        """A reference with arbitrary intensities, so no sum is exact by construction."""
+        pixels = np.random.default_rng(3).uniform(0.0, 1.0, (128, 128))
+        statistic = null_statistic(name, 40, SimilarityReference(QQRaster(pixels, (0.0, 1.0))))
+        chunk = [sample(case_spec(case), 40, 7) for case in range(1, 16)]
+        block = statistic.calibration_rows(np.stack([x.values for x in chunk]))
+        assert block.tobytes() == np.array([statistic(x) for x in chunk]).tobytes()
+
+    def test_cutoffs_are_pinned(self):
+        """n=100, 1,000 reps, seed 0: the reprs of the per-sample render loop."""
+        pinned = {"PSNR": "-16.24749537260843", "SSIM": "-0.8682915709654694"}
+        got = {
+            name: repr(calibrate_cutoff(null_statistic(name, 100), 100, 1000, 0.05, seed=0))
+            for name in pinned
+        }
+        assert got == pinned
 
 
 class TestEmitAndParse:

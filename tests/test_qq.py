@@ -6,6 +6,7 @@ Tests cover:
 - ideal point sets
 - raster geometry: anchor line, point discs, orientation, value range
 - rasters bit-identical to a per-pixel oracle, and pinned by digest
+- the block renderer, row by row against rasterize
 - PGM encoding
 """
 
@@ -23,13 +24,19 @@ from dnt.qq import (
     RASTER_SIZE,
     QQPoints,
     QQRaster,
+    _render_rows,
     ideal_points,
     plotting_positions,
     qq_points,
     rasterize,
     to_pgm,
 )
-from dnt.sampling import case_spec, sample
+from dnt.sampling import _z_scores, case_spec, sample
+
+# Axis values near 2**52, one ulp apart at most: the 5% padding rounds
+# away, so the first and last discs are centred on canvas corners and
+# the bounds mask clips them.
+CORNER_AXIS = np.array([2.0**52, 2.0**52 + 2, 2.0**52 + 4])
 
 
 class TestPlottingPositions:
@@ -207,6 +214,64 @@ class TestRasterOracle:
         assert raster.pixels.tobytes() == pixels.tobytes()
         assert raster.pixels[65, 40] == raster.pixels[68, 40] == 1.0
         assert raster.pixels[65, 39] == raster.pixels[68, 41] == 0.0
+
+
+def benchmark_block(n: int) -> np.ndarray:
+    """One (45, n) block: every benchmark case at seeds 0, 1 and 2."""
+    return np.stack([
+        sample(case_spec(case), n, seed).values for case in range(1, 16) for seed in range(3)
+    ])
+
+
+EDGE_BLOCK = np.stack([
+    np.concatenate([np.zeros(99), [1e6]]),  # extreme outlier
+    np.repeat(np.arange(5.0), 20),  # integer ties
+])
+
+
+class TestRenderRows:
+    """_render_rows: each row of a block renders as rasterize renders it alone."""
+
+    @staticmethod
+    def assert_rows_match(samples: np.ndarray) -> None:
+        levels, lo, hi = _render_rows(_z_scores(samples, ascending=True))
+        assert levels.dtype == np.uint8 and levels.shape == (len(samples), 128, 128)
+        for i, x in enumerate(samples):
+            raster = rasterize(qq_points(x))
+            assert (levels[i] / 2).tobytes() == raster.pixels.tobytes()
+            assert (lo[i, 0], hi[i, 0]) == raster.value_range
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 11, 100, 500])
+    def test_benchmark_rows_match_byte_for_byte(self, n: int) -> None:
+        self.assert_rows_match(benchmark_block(n))
+
+    def test_edge_rows_match_byte_for_byte(self) -> None:
+        self.assert_rows_match(EDGE_BLOCK)
+
+    def test_discs_clipped_at_the_corners_stay_in_their_own_image(self) -> None:
+        """Off-canvas candidates are dropped, not wrapped into a neighbouring row or image."""
+        block = np.stack([CORNER_AXIS, CORNER_AXIS[[0, 0, 2]]])
+        levels, _, _ = _render_rows(block, CORNER_AXIS)
+        for i, empirical in enumerate(block):
+            pixels, _ = _oracle_raster(QQPoints(CORNER_AXIS, empirical))
+            assert rasterize(QQPoints(CORNER_AXIS, empirical)).pixels.tobytes() == pixels.tobytes()
+            assert (levels[i] / 2).tobytes() == pixels.tobytes()
+        corners = levels[:, [0, 0, -1, -1], [0, -1, 0, -1]]
+        assert corners.tolist() == [[0, 2, 2, 0], [0, 2, 2, 0]]
+
+    def test_rows_do_not_depend_on_their_neighbours(self) -> None:
+        """Reversing the block reverses its images and ranges."""
+        z = _z_scores(benchmark_block(11), ascending=True)
+        forward = _render_rows(z)
+        backward = _render_rows(z[::-1].copy())
+        for a, b in zip(forward, backward):
+            assert a.tobytes() == b[::-1].tobytes()
+
+    def test_rejects_too_few_points_and_zero_spread(self) -> None:
+        with pytest.raises(InvalidArgumentError):
+            _render_rows(np.zeros((4, 2)))
+        with pytest.raises(InvalidArgumentError):
+            _render_rows(np.zeros((2, 3)), np.zeros(3))
 
 
 class TestGoldenRasters:

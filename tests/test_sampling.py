@@ -245,6 +245,16 @@ class TestSample:
         with pytest.raises(InsufficientDataError):
             sample(case_spec(15), 2, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_rejects_a_seed_outside_64_unsigned_bits(self, seed: int) -> None:
+        """-1 used to draw what 2**64 - 1 draws, and 2**64 what 0 draws."""
+        with pytest.raises(InvalidArgumentError, match="seed must fit in 64 unsigned bits"):
+            sample(case_spec(15), 5, seed)
+
+    def test_accepts_both_ends_of_the_seed_range(self) -> None:
+        for seed in (0, 2**64 - 1):
+            assert sample(case_spec(15), 5, seed).seed == seed
+
     def test_sample_rejects_nonfinite_container(self) -> None:
         with pytest.raises(InvalidArgumentError):
             Sample(np.array([1.0, np.nan, 2.0]))
