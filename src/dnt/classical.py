@@ -10,14 +10,16 @@ samples.
 
 Every statistic has one implementation: a kernel over an (rows, n)
 array that works along the last axis. ``ks_statistic`` and its
-siblings run it on one validated sample as a one-row array;
-``calibrate_cutoff`` runs it on chunks of null draws (see
-``calibration_kernel``). A row's value never depends on the rows beside
-it: rows are summed with ``np.add.reduce`` along the contiguous last
-axis, pairwise exactly as a 1-D vector is (the z-score and moment
-kernels are ``sampling``'s), and the JB, GG and BS tails that take
-powers or logarithms run in Python floats, since numpy's vectorised
-``**`` and ``log`` can round differently from the C library.
+siblings run it on one validated sample as a one-row array, and each
+carries it (on |value| for two-sided BS) as its ``calibration_rows``
+attribute, which ``calibrate_cutoff`` runs on chunks of null draws and
+``functools.wraps`` copies onto any wrapper. A row's value never
+depends on the rows beside it: rows are summed with ``np.add.reduce``
+along the contiguous last axis, pairwise exactly as a 1-D vector is
+(the z-score and moment kernels are ``sampling``'s), and the JB, GG
+and BS tails that take powers or logarithms run in Python floats,
+since numpy's vectorised ``**`` and ``log`` can round differently from
+the C library.
 
 Tail terms use log Phi computed directly (never log(1 - Phi(z))), so
 extreme observations cannot underflow to log(0).
@@ -26,7 +28,6 @@ extreme observations cannot underflow to log(0).
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -50,19 +51,7 @@ __all__ = [
     "ad_from_u",
     "glb_from_u",
     "statistic_fn",
-    "calibration_kernel",
 ]
-
-STATISTIC_NAMES = ("KS", "AD", "JB", "GLB", "GG", "BS")
-
-_DIRECTION = {
-    "KS": "reject-large",
-    "AD": "reject-large",
-    "JB": "reject-large",
-    "GLB": "reject-large",
-    "GG": "reject-large",
-    "BS": "reject-two-sided",
-}
 
 
 @dataclass(frozen=True)
@@ -76,10 +65,9 @@ class TestStatistic:
     def __post_init__(self) -> None:
         if self.name not in STATISTIC_NAMES:
             raise InvalidArgumentError(f"unknown statistic name {self.name!r}")
-        if self.direction != _DIRECTION[self.name]:
-            raise InvalidArgumentError(
-                f"{self.name} must have direction {_DIRECTION[self.name]!r}"
-            )
+        direction = _STATISTICS[self.name][1]
+        if self.direction != direction:
+            raise InvalidArgumentError(f"{self.name} must have direction {direction!r}")
         if not math.isfinite(self.value):
             raise InvalidArgumentError("statistic value must be finite")
 
@@ -189,20 +177,41 @@ def _bs_rows(x: np.ndarray) -> np.ndarray:
     )
 
 
-_KERNELS = {
-    "KS": _ks_rows,
-    "AD": _ad_rows,
-    "JB": _jb_rows,
-    "GLB": _glb_rows,
-    "GG": _gg_rows,
-    "BS": _bs_rows,
+# name -> (row kernel, rejection direction)
+_STATISTICS = {
+    "KS": (_ks_rows, "reject-large"),
+    "AD": (_ad_rows, "reject-large"),
+    "JB": (_jb_rows, "reject-large"),
+    "GLB": (_glb_rows, "reject-large"),
+    "GG": (_gg_rows, "reject-large"),
+    "BS": (_bs_rows, "reject-two-sided"),
 }
+STATISTIC_NAMES = tuple(_STATISTICS)
 
 
 def _single(name: str, x: Sample | np.ndarray) -> TestStatistic:
     """One sample's statistic: validate, run the kernel on one row, wrap."""
-    value = float(_KERNELS[name](_as_values(x)[np.newaxis, :])[0])
-    return TestStatistic(name, value, _DIRECTION[name])
+    kernel, direction = _STATISTICS[name]
+    return TestStatistic(name, float(kernel(_as_values(x)[np.newaxis, :])[0]), direction)
+
+
+def _calibrated(name: str):
+    """Decorator attaching ``calibration_rows``: each row's ``calibration_value`` under name.
+
+    A bad row raises what the one-sample statistic raises: InsufficientDataError
+    on zero spread, InvalidArgumentError on a non-finite value.
+    """
+    kernel, direction = _STATISTICS[name]
+
+    def calibration_rows(rows: np.ndarray) -> np.ndarray:
+        values = _array(kernel(rows), "statistic value")
+        return np.abs(values) if direction == "reject-two-sided" else values
+
+    def attach(fn):
+        fn.calibration_rows = calibration_rows
+        return fn
+
+    return attach
 
 
 def _check_u(u: np.ndarray) -> np.ndarray:
@@ -237,21 +246,25 @@ def glb_from_u(u: np.ndarray) -> float:
     return float(_glb_from_logs(np.log(u), np.log1p(-u)))
 
 
+@_calibrated("KS")
 def ks_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Largest vertical gap between the fitted normal CDF and the EDF."""
     return _single("KS", x)
 
 
+@_calibrated("AD")
 def ad_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Quadratic EDF statistic with extra weight in the tails."""
     return _single("AD", x)
 
 
+@_calibrated("JB")
 def jb_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Moment statistic (n/6)(S^2 + (K-3)^2/4) from 1/n moments."""
     return _single("JB", x)
 
 
+@_calibrated("GLB")
 def glb_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Order-statistics statistic weighting both CDF tails per rank.
 
@@ -262,6 +275,7 @@ def glb_statistic(x: Sample | np.ndarray) -> TestStatistic:
     return _single("GLB", x)
 
 
+@_calibrated("GG")
 def gg_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Moment statistic scaled by a robust spread estimate.
 
@@ -271,6 +285,7 @@ def gg_statistic(x: Sample | np.ndarray) -> TestStatistic:
     return _single("GG", x)
 
 
+@_calibrated("BS")
 def bs_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Kurtosis z-statistic from the log ratio of sd to mean deviation.
 
@@ -299,28 +314,3 @@ def statistic_fn(name: str):
             f"unknown statistic {name!r}; expected one of {', '.join(STATISTIC_NAMES)}"
         ) from None
 
-
-def calibration_kernel(fn):
-    """The row-wise calibration values behind a registered statistic, or None.
-
-    fn matches when it is one of the six statistic functions or a
-    ``functools.wraps`` wrapper of one. The returned function maps an
-    (rows, n) array of finite samples to each row's calibration value
-    (the absolute value for two-sided BS), and raises what the
-    single-sample statistic raises on a bad row: InsufficientDataError
-    on zero spread, InvalidArgumentError on a non-finite value.
-    """
-    target = inspect.unwrap(fn)
-    name = next(
-        (name for name, f in _BY_NAME.items() if inspect.unwrap(f) is target), None
-    )
-    if name is None:
-        return None
-    kernel = _KERNELS[name]
-    two_sided = _DIRECTION[name] == "reject-two-sided"
-
-    def calibration_values(rows: np.ndarray) -> np.ndarray:
-        values = _array(kernel(rows), "statistic value")
-        return np.abs(values) if two_sided else values
-
-    return calibration_values

@@ -17,13 +17,14 @@ from __future__ import annotations
 import binascii
 import json
 import math
+import operator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .classical import TestStatistic, calibration_kernel
+from .classical import TestStatistic
 from .errors import (
     ConfigError,
     FormatError,
@@ -163,9 +164,10 @@ class TestReport:
         )
 
 
-def _quantile_index(count: int, alpha: float) -> int:
-    """1-based order-statistic rank of the empirical (1-alpha) quantile."""
-    return math.ceil((1.0 - alpha) * count - 1e-9)
+def _upper_quantile(ascending: np.ndarray, alpha: float) -> float:
+    """The (1-alpha) quantile of N ascending values: the ceil((1-alpha)N)-th, at least the 1st."""
+    rank = math.ceil((1.0 - alpha) * ascending.size - 1e-9)
+    return float(ascending[max(rank, 1) - 1])
 
 
 @dataclass(frozen=True)
@@ -194,8 +196,7 @@ class DNTModel:
             raise InvalidArgumentError("metric dimension must equal selection.d")
         if null.size == 0 or np.any(np.diff(null) < 0):
             raise InvalidArgumentError("null_distances must be sorted ascending")
-        expected = float(null[_quantile_index(null.size, self.alpha) - 1])
-        if self.cutoff != expected:
+        if self.cutoff != _upper_quantile(null, self.alpha):
             raise InvalidArgumentError(
                 "cutoff is not the (1-alpha) order statistic of null_distances"
             )
@@ -277,7 +278,7 @@ def train(cfg: TrainConfig) -> DNTModel:
     deltas = null_sel - centroid
     projected = deltas @ metric.factor()
     null_distances = np.sort(np.einsum("ij,ij->i", projected, projected))
-    cutoff = float(null_distances[_quantile_index(null_distances.size, cfg.alpha) - 1])
+    cutoff = _upper_quantile(null_distances, cfg.alpha)
 
     return DNTModel(
         extractor_id=cfg.extractor,
@@ -307,6 +308,10 @@ def calibrate_cutoff(
     _CHUNK_VALUES values and at most _CHUNK_ROWS rows; each chunk is
     scored at once (see _chunk_scorer).
     """
+    try:
+        n, reps = operator.index(n), operator.index(reps)
+    except TypeError:
+        raise InvalidArgumentError("n and reps must be integers") from None
     if reps < 100:
         raise InvalidArgumentError("calibration needs at least 100 replicates")
     if not 0.0 < alpha < 1.0:
@@ -317,19 +322,19 @@ def calibrate_cutoff(
     for start, chunk in _chunks(case_spec(_NULL_CASE), reps, n, scheme, "calibrate"):
         values[start : start + len(chunk)] = score(chunk)
     values.sort()
-    return float(values[_quantile_index(reps, alpha) - 1])
+    return _upper_quantile(values, alpha)
 
 
 def _chunk_scorer(statistic_fn):
     """Calibration values of a list of null Samples under statistic_fn.
 
-    A registered classical statistic (or a ``functools.wraps`` wrapper
-    of one), or a callable with a ``calibration_rows`` block form such
-    as ``power.null_statistic("SSIM", n)``, scores the whole chunk with
+    A callable with a ``calibration_rows`` block form (each classical
+    statistic, any ``functools.wraps`` wrapper of one, and
+    ``power.null_statistic("SSIM", n)``) scores the whole chunk with
     one call on its (rows, n) values; any other callable is applied
     sample by sample.
     """
-    kernel = calibration_kernel(statistic_fn) or getattr(statistic_fn, "calibration_rows", None)
+    kernel = getattr(statistic_fn, "calibration_rows", None)
     if kernel is not None:
         return lambda chunk: kernel(np.stack([x.values for x in chunk]))
     return lambda chunk: [

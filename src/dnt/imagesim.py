@@ -120,22 +120,35 @@ class SimilarityReference:
         """Negated similarity to the reference; larger means less normal."""
         return self._statistic(candidate.pixels, metric)
 
-    def statistic_rows(self, samples: np.ndarray, metric: str) -> np.ndarray:
-        """``statistic`` of the raster of each row of a (rows, n) sample block.
-
-        The block gets one z-score pass and one render; no QQPoints or
-        QQRaster is built. Level images halve to the rasters' pixels
-        exactly, so each value is the one-sample value bit for bit.
-        """
-        levels, _, _ = _render_rows(_z_scores(samples, ascending=True))
-        return np.array([self._statistic(image / _POINT_LEVEL, metric) for image in levels])
-
     def _statistic(self, pixels: np.ndarray, metric: str) -> float:
         if metric == "SSIM":
             return -self._ssim(pixels)
         if metric == "PSNR":
             return -_psnr(pixels, self._pixels)
         raise InvalidArgumentError(f"unknown metric {metric!r}")
+
+
+@dataclass(frozen=True)
+class _SimilarityStatistic:
+    """Negated PSNR or SSIM of a sample's raster against reference, one or a block."""
+
+    reference: SimilarityReference
+    metric: str
+
+    def __call__(self, x: Sample) -> float:
+        return self.reference.statistic(rasterize(qq_points(x)), self.metric)
+
+    def calibration_rows(self, samples: np.ndarray) -> np.ndarray:
+        """The statistic of each row of a (rows, n) sample block.
+
+        The block gets one z-score pass and one render; no QQPoints or
+        QQRaster is built. Level images halve to the rasters' pixels
+        exactly, so each value is the one-sample value bit for bit.
+        """
+        levels, _, _ = _render_rows(_z_scores(samples, ascending=True))
+        return np.array(
+            [self.reference._statistic(image / _POINT_LEVEL, self.metric) for image in levels]
+        )
 
 
 def similarity_test_statistic(

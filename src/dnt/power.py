@@ -13,12 +13,10 @@ import csv
 import io
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .classical import STATISTIC_NAMES, statistic_fn
 from .engine import DNTModel, TrainConfig, calibrate_cutoff, dnt_test, train
 from .errors import ConfigError, FormatError, InvalidArgumentError
-from .imagesim import METRIC_NAMES, SimilarityReference
+from .imagesim import METRIC_NAMES, SimilarityReference, _SimilarityStatistic
 from .qq import qq_points, rasterize
 from .sampling import Sample, SeedScheme, case_spec, replicates
 
@@ -117,20 +115,6 @@ class MethodBank:
                 stat = statistic_fn(name)(x)
                 out[name] = stat.calibration_value > self.cutoffs[name]
         return out
-
-
-@dataclass(frozen=True)
-class _SimilarityStatistic:
-    """Negated PSNR or SSIM against reference, of one sample or (calibration_rows) a block."""
-
-    reference: SimilarityReference
-    metric: str
-
-    def __call__(self, x: Sample) -> float:
-        return self.reference.statistic(rasterize(qq_points(x)), self.metric)
-
-    def calibration_rows(self, samples: np.ndarray) -> np.ndarray:
-        return self.reference.statistic_rows(samples, self.metric)
 
 
 def null_statistic(name: str, n: int, reference: SimilarityReference | None = None):

@@ -25,7 +25,6 @@ from dnt.classical import (
     ad_from_u,
     ad_statistic,
     bs_statistic,
-    calibration_kernel,
     gg_statistic,
     glb_from_u,
     glb_statistic,
@@ -325,7 +324,7 @@ class TestRowKernels:
             ]
         )
         expected = [_reference_values(name, row) for row in block]
-        kernel = calibration_kernel(statistic_fn(name))
+        kernel = statistic_fn(name).calibration_rows
         got = kernel(block)
         if name == "BS":
             expected = [abs(v) for v in expected]
@@ -374,7 +373,7 @@ class TestEdgeInputs:
     def test_edge_values_are_pinned(self, name: str, label: str) -> None:
         x = EDGE_SAMPLES[label]
         assert statistic_fn(name)(x).value == EDGE_VALUES[label][name]
-        row = calibration_kernel(statistic_fn(name))(x[np.newaxis, :])
+        row = statistic_fn(name).calibration_rows(x[np.newaxis, :])
         assert row[0] == abs(EDGE_VALUES[label][name])
 
     @pytest.mark.parametrize("label", sorted(HUGE_SAMPLES))
@@ -395,7 +394,7 @@ class TestEdgeInputs:
                 with pytest.raises(InvalidArgumentError, match="must be finite"):
                     statistic_fn(name)(x)
                 with pytest.raises(InvalidArgumentError, match="must be finite"):
-                    calibration_kernel(statistic_fn(name))(np.stack([x, x + 1e299]))
+                    statistic_fn(name).calibration_rows(np.stack([x, x + 1e299]))
 
     @pytest.mark.parametrize(
         "name, x",
@@ -418,7 +417,7 @@ class TestEdgeInputs:
             with pytest.raises(InvalidArgumentError, match="must be finite"):
                 statistic_fn(name)(x)
             with pytest.raises(InvalidArgumentError, match="must be finite"):
-                calibration_kernel(statistic_fn(name))(chunk)
+                statistic_fn(name).calibration_rows(chunk)
 
     @pytest.mark.parametrize("name", STATISTIC_NAMES)
     def test_zero_spread_raises_alone_and_in_a_chunk(self, name: str) -> None:
@@ -429,6 +428,6 @@ class TestEdgeInputs:
         chunk = np.stack([sample(case_spec(15), 100, s).values for s in range(8)])
         chunk[5] = flat
         with pytest.raises(InsufficientDataError):
-            calibration_kernel(statistic_fn(name))(chunk)
-        rest = calibration_kernel(statistic_fn(name))(np.delete(chunk, 5, axis=0))
+            statistic_fn(name).calibration_rows(chunk)
+        rest = statistic_fn(name).calibration_rows(np.delete(chunk, 5, axis=0))
         assert np.all(np.isfinite(rest))

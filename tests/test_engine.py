@@ -43,7 +43,7 @@ from dnt import (
     save_model,
     train,
 )
-from dnt.classical import statistic_fn
+from dnt.classical import STATISTIC_NAMES, statistic_fn
 from dnt.engine import (
     _CHUNK_ROWS,
     MODEL_FORMAT_VERSION,
@@ -297,6 +297,11 @@ class TestTrain:
         assert np.array_equal(a.null_distances, b.null_distances)
         assert a.cutoff == b.cutoff
 
+    def test_tiny_alpha_cuts_at_the_smallest_null_distance(self):
+        """A rank (1-alpha)N below 1 is clamped to 1, and the model accepts that cutoff."""
+        model = train(tiny_config(alpha=1 - 1e-13))
+        assert model.cutoff == model.null_distances[0] < model.null_distances[-1]
+
     def test_requires_a_master_seed(self):
         """Training refuses to run with an unset seed."""
         with pytest.raises(ConfigError):
@@ -411,28 +416,42 @@ class TestCalibrateCutoff:
         }
         assert got == pinned
 
-    def test_wrapped_and_generic_statistics_agree(self):
+    @pytest.mark.parametrize("name", STATISTIC_NAMES)
+    def test_wrapped_and_generic_statistics_agree(self, name):
         """The chunk kernel, a functools.wraps wrapper and a lambda give one cutoff.
 
-        The wrapper resolves to the kernel, so it is never called; the
-        lambda is scored sample by sample.
+        The wrapper carries the statistic's ``calibration_rows``, so it
+        is never called; the lambda is scored sample by sample.
         """
+        statistic = statistic_fn(name)
         calls = {"wrapped": 0, "lambda": 0}
 
-        @functools.wraps(ks_statistic)
+        @functools.wraps(statistic)
         def wrapped(x):
             calls["wrapped"] += 1
-            return ks_statistic(x)
+            return statistic(x)
 
         def generic(x):
             calls["lambda"] += 1
-            return ks_statistic(x)
+            return statistic(x)
 
         reps = 1100
-        direct = calibrate_cutoff(ks_statistic, 40, reps, 0.05, seed=8)
+        direct = calibrate_cutoff(statistic, 40, reps, 0.05, seed=8)
         assert calibrate_cutoff(wrapped, 40, reps, 0.05, seed=8) == direct
         assert calibrate_cutoff(lambda x: generic(x), 40, reps, 0.05, seed=8) == direct
         assert calls == {"wrapped": 0, "lambda": reps}
+
+    def test_tiny_alpha_picks_the_smallest_null_value(self):
+        """A rank (1-alpha)N below 1 is clamped to 1, not wrapped round to the largest value."""
+        tiny = calibrate_cutoff(ks_statistic, 30, 100, alpha=1 - 1e-12, seed=1)
+        assert tiny == calibrate_cutoff(ks_statistic, 30, 100, alpha=0.995, seed=1)
+        assert tiny < calibrate_cutoff(ks_statistic, 30, 100, alpha=0.5, seed=1)
+
+    @pytest.mark.parametrize("n, reps", [(30, 150.5), (30.0, 150)], ids=["reps", "n"])
+    def test_rejects_non_integer_sizes(self, n, reps):
+        """A float size is refused, not truncated or left to numpy's TypeError."""
+        with pytest.raises(InvalidArgumentError, match="must be integers"):
+            calibrate_cutoff(ks_statistic, n, reps, 0.05, seed=0)
 
     def test_reproducible_for_a_real_statistic(self):
         """Equal seeds give bit-equal cutoffs."""
