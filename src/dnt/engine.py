@@ -52,6 +52,8 @@ from .sampling import (
     _array,
     _as_values,
     _frozen,
+    _integer,
+    _seed,
     _z_scores,
     benchmark_case_id,
     case_spec,
@@ -107,6 +109,11 @@ class TrainConfig:
     fresh_null_count: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "h0_pool", "h1_count", "d", "fresh_null_count"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
+        if self.master_seed is not None:
+            seed = _seed(self.master_seed, "master_seed", ConfigError)
+            object.__setattr__(self, "master_seed", seed)
         if self.n < 3:
             raise ConfigError("n must be at least 3")
         if self.h0_pool < 2 or self.h1_count < 2:

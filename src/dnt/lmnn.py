@@ -12,6 +12,12 @@ and accepted-step losses are non-increasing.
 Both terms are weighted sums over point pairs, so loss and gradient are
 computed in Gram/Laplacian form over the n training points (Weinberger &
 Saul, JMLR 10, 2009) with no per-pair or per-triplet difference array.
+A pair's weight depends on its count of active triplets (positive hinge).
+Each iteration gets the counts of every pull pair and every (focal,
+impostor) edge as segment sums of the active flags, over groupings
+built once per fit, and the Laplacian from one bincount over both
+directions of every edge. These forms return the same bits as the plain
+bincount-and-transpose form; _Objective says why each step is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, TrainingError
 from .features import FeatureVector, _as_matrix
-from .sampling import _array, _frozen
+from .sampling import _array, _finite, _frozen, _integer
 
 __all__ = [
     "MetricMatrix",
@@ -108,6 +114,10 @@ class LmnnConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("k", "max_iters"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("push_weight", "margin", "step_size", "tolerance"):
+            _finite(getattr(self, name), name)
         if self.k < 1:
             raise InvalidArgumentError("k must be at least 1")
         if self.push_weight <= 0 or self.margin <= 0:
@@ -196,16 +206,67 @@ def _project_psd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (projected + projected.T), factor
 
 
+def _segments(ids: np.ndarray, size: int) -> tuple:
+    """How to sum a per-row flag array by id, for ids in range(size).
+
+    Returns (order, starts, groups): flags[order] lists the flags of
+    id groups[0] first, then those of groups[1], and so on, each run
+    beginning at its entry of starts. Ids with no rows are left out of
+    groups, because reduceat cannot give an empty run. order is a
+    stable argsort, so ids that are already sorted, as build_triplets
+    sorts the pair ids, give the identity; that order is stored as
+    slice(None), which indexes without a copy.
+    """
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids, minlength=size)
+    groups = np.flatnonzero(counts)
+    starts = np.cumsum(counts[groups]) - counts[groups]
+    if np.array_equal(order, np.arange(ids.size)):
+        order = slice(None)
+    return order, starts, groups
+
+
+def _segment_sums(flags: np.ndarray, segments: tuple, size: int) -> np.ndarray:
+    """Per-id counts of true flags as floats; the accumulator is a machine integer."""
+    order, starts, groups = segments
+    counts = np.zeros(size)
+    counts[groups] = np.add.reduceat(flags[order], starts, dtype=np.intp)
+    return counts
+
+
 class _Objective:
     """Fixed triplet structure with loss and gradient in Gram/Laplacian form.
 
     The edges are the pull pairs followed by the unique (focal, impostor)
     pairs. An edge's squared distance is K[i,i] + K[j,j] - 2 K[i,j] for
-    the Gram matrix K of the mapped points. The gradient is X' L X, with
-    L the Laplacian of the edges weighted 1 + push_weight * (active
-    triplets) for pull pairs and -push_weight * (active triplets) for
-    impostor pairs. X is centred: a shift changes neither distances nor
-    X' L X, but a large common offset would drown K in rounding error.
+    the Gram matrix K of the mapped points, read by flat index. X is
+    centred: a shift changes neither distances nor X' L X, but a large
+    common offset would drown K in rounding error.
+
+    A triplet is active when its hinge, margin + pull - impostor
+    distance, is positive. The active counts per pull pair and per
+    impostor edge are segment sums of the active flags: _segments
+    groups the triplets by pair and by edge once, here, so no triplet
+    order is assumed. The gradient is X' L X, with L the Laplacian of
+    the edges weighted 1 + push_weight * (active triplets) for pull
+    pairs and -push_weight * (active triplets) for impostor edges.
+
+    Every step returns the bits of the plain form (bincount of the
+    active triplets, then the Laplacian as diag(row sums of A + A') -
+    (A + A') for the weighted adjacency A), for these reasons:
+    - integer counts are exact in any order;
+    - the hinge adds the margin to a pull distance and then subtracts
+      an impostor distance, as the plain form does;
+    - the loss sums hinge[active] in triplet order;
+    - edges are unique: build_triplets' pull pairs are unique and join
+      same-class points, its impostor edges different-class ones. So a
+      cell of A + A' holds at most the weights of one edge and of its
+      reverse, and a + b == b + a;
+    - no edge joins a point to itself, so A + A' has a zero diagonal;
+    - negation is exact, so the bincount of the negated weights over
+      both directions of every edge is the off-diagonal of L, and each
+      nonzero row sum is the negated row sum of A + A'. 0.0 - sum
+      gives the diagonal, with +0.0 for a point with no weight.
     """
 
     def __init__(self, x: np.ndarray, ts: TripletSet, push_weight: float, margin: float):
@@ -222,29 +283,34 @@ class _Objective:
         imp_codes, self.trip_imp_idx = np.unique(ti * n + tl, return_inverse=True)
         self.edge_i = np.concatenate([pi, imp_codes // n])
         self.edge_j = np.concatenate([pj, imp_codes % n])
+        self.edge_codes = np.concatenate([pair_codes, imp_codes])
+        self.both_directions = np.concatenate([self.edge_codes, self.edge_j * n + self.edge_i])
+        self.pair_segments = _segments(self.trip_pair_idx, self.n_pairs)
+        self.imp_segments = _segments(self.trip_imp_idx, imp_codes.size)
 
     def evaluate(self, factor: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Loss at M = factor factor', plus active-triplet pair weights."""
         z = self.x @ factor
-        gram = z @ z.T
-        i, j = self.edge_i, self.edge_j
-        edge_sq = gram[i, i] + gram[j, j] - 2.0 * gram[i, j]
+        gram = (z @ z.T).ravel()
+        diagonal = gram[:: self.n + 1]
+        edge_sq = diagonal[self.edge_i] + diagonal[self.edge_j] - 2.0 * gram[self.edge_codes]
         pull_sq, imp_sq = edge_sq[: self.n_pairs], edge_sq[self.n_pairs :]
-        hinge = self.margin + pull_sq[self.trip_pair_idx] - imp_sq[self.trip_imp_idx]
+        hinge = (self.margin + pull_sq)[self.trip_pair_idx]
+        hinge -= imp_sq[self.trip_imp_idx]
         active = hinge > 0.0
         loss = float(pull_sq.sum()) + self.push_weight * float(hinge[active].sum())
-        w_pair = np.bincount(self.trip_pair_idx[active], minlength=self.n_pairs).astype(float)
-        w_imp = np.bincount(self.trip_imp_idx[active], minlength=imp_sq.size).astype(float)
+        w_pair = _segment_sums(active, self.pair_segments, self.n_pairs)
+        w_imp = _segment_sums(active, self.imp_segments, imp_sq.size)
         return loss, w_pair, w_imp
 
     def gradient(self, w_pair: np.ndarray, w_imp: np.ndarray) -> np.ndarray:
         """Loss gradient in M, X' L X, at the given active-triplet weights."""
-        weights = np.concatenate([1.0 + self.push_weight * w_pair, -self.push_weight * w_imp])
-        codes = self.edge_i * self.n + self.edge_j
-        adjacency = np.bincount(codes, weights=weights, minlength=self.n * self.n)
-        adjacency = adjacency.reshape(self.n, self.n)
-        adjacency = adjacency + adjacency.T
-        laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+        n = self.n
+        negated = np.concatenate([-(1.0 + self.push_weight * w_pair), self.push_weight * w_imp])
+        laplacian = np.bincount(
+            self.both_directions, weights=np.tile(negated, 2), minlength=n * n
+        ).reshape(n, n)
+        np.fill_diagonal(laplacian, 0.0 - laplacian.sum(axis=1))
         return self.x.T @ (laplacian @ self.x)
 
 

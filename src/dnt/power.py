@@ -18,7 +18,7 @@ from .engine import DNTModel, TrainConfig, calibrate_cutoff, dnt_test, train
 from .errors import ConfigError, FormatError, InvalidArgumentError
 from .imagesim import METRIC_NAMES, SimilarityReference, _SimilarityStatistic
 from .qq import qq_points, rasterize
-from .sampling import Sample, SeedScheme, case_spec, replicates
+from .sampling import Sample, SeedScheme, _integer, _seed, case_spec, replicates
 
 __all__ = [
     "METHOD_NAMES",
@@ -67,6 +67,9 @@ class RunConfig:
         if len(set(methods)) != len(methods):
             raise ConfigError("methods must not repeat")
         object.__setattr__(self, "methods", methods)
+        for name in ("reps", "n", "calibration_reps"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
+        object.__setattr__(self, "master_seed", _seed(self.master_seed, "master_seed", ConfigError))
         if self.reps < 50:
             raise ConfigError("reps must be at least 50")
         if self.n < 3:

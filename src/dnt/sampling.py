@@ -7,18 +7,23 @@ test draws never share a random stream even when they share a master
 seed. The one vector check and the row-wise z-score and central-moment
 kernels, shared by qq, features and classical, live here too, as does
 the one array rule of every value type: ``_array`` converts and checks
-an input, ``_frozen`` stores a read-only copy of it.
+an input, ``_frozen`` stores a read-only copy of it. Its scalar
+counterpart serves every config and seed: ``_integer`` refuses a float
+or bool where an integer belongs, ``_finite`` a NaN or infinity, and
+``_seed`` a seed outside [0, 2**64).
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import DntError, InsufficientDataError, InvalidArgumentError
 
 __all__ = [
     "KINDS",
@@ -209,6 +214,34 @@ def parse_distribution_label(text: str) -> DistributionSpec:
 _MASK64 = (1 << 64) - 1
 
 
+def _integer(value, what: str, error: type[DntError] = InvalidArgumentError) -> int:
+    """value as a Python int. A float, even a whole one, and a bool are refused, not truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _finite(value, what: str, error: type[DntError] = InvalidArgumentError) -> None:
+    """Refuse value unless it is a finite real number; a bool is not one."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return
+    except TypeError:
+        pass
+    raise error(f"{what} must be a finite number, got {value!r}")
+
+
+def _seed(value, what: str, error: type[DntError] = InvalidArgumentError) -> int:
+    """value as a seed in [0, 2**64); one outside is refused, never wrapped onto another."""
+    seed = _integer(value, what, error)
+    if not 0 <= seed <= _MASK64:
+        raise error(f"{what} must fit in 64 unsigned bits")
+    return seed
+
+
 def _splitmix64(state: int) -> int:
     state = (state + 0x9E3779B97F4A7C15) & _MASK64
     z = state
@@ -240,9 +273,7 @@ class SeedScheme:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.master_seed) <= _MASK64:
-            raise InvalidArgumentError("master_seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", _seed(self.master_seed, "master_seed"))
 
     def stream(self, case_id: int, replicate_idx: int, purpose_tag: str) -> int:
         if case_id < 0 or replicate_idx < 0:
@@ -260,11 +291,10 @@ class SeedScheme:
 
 def sample(spec: DistributionSpec, n: int, seed: int) -> Sample:
     """Draw n i.i.d. values from spec's law, deterministic in seed (0 <= seed < 2**64)."""
+    n = _integer(n, "sample size")
     if n < 3:
         raise InsufficientDataError("sample size must be at least 3")
-    seed = int(seed)
-    if not 0 <= seed <= _MASK64:
-        raise InvalidArgumentError("seed must fit in 64 unsigned bits")
+    seed = _seed(seed, "seed")
     rng = np.random.Generator(np.random.PCG64(seed))
     values = _LAWS[spec.kind][3](rng, spec.params, n)
     return Sample(values, spec=spec, seed=seed)

@@ -3,7 +3,9 @@
 Everything here is written straight from the defining formulas, in plain
 Python loops, with mpmath supplying high-precision special functions.
 Nothing imports the dnt package, so agreement between these functions
-and the package is evidence, not tautology.
+and the package is evidence, not tautology. The one exception to the
+loops is frozen_lmnn_objective: a numpy copy of the metric learner's
+objective before its segment-sum rewrite, which it must match byte for byte.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 30
 
@@ -437,3 +440,49 @@ def oracle_lmnn_objective(
             add_outer(d_ij, push_weight)
             add_outer(d_il, -push_weight)
     return loss, grad
+
+
+def frozen_lmnn_objective(
+    x: np.ndarray,
+    pairs: np.ndarray,
+    triplets: np.ndarray,
+    factor: np.ndarray,
+    push_weight: float,
+    margin: float,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram/Laplacian objective before its segment-sum rewrite, a bit-exact reference.
+
+    Returns (loss, w_pair, w_imp, gradient) at M = factor factor', where
+    w_pair and w_imp count the active triplets of each pull pair and of
+    each (focal, impostor) edge in sorted code order, and the gradient
+    is taken at those counts. Any rewrite of the objective must return
+    these bytes, so this copy is never to be edited.
+    """
+    n = x.shape[0]
+    x = x - x.mean(axis=0)
+    pi, pj = pairs[:, 0], pairs[:, 1]
+    n_pairs = pi.size
+    ti, tj, tl = triplets.T
+    pair_codes = pi * n + pj
+    pair_order = np.argsort(pair_codes)
+    trip_pair_idx = pair_order[np.searchsorted(pair_codes[pair_order], ti * n + tj)]
+    imp_codes, trip_imp_idx = np.unique(ti * n + tl, return_inverse=True)
+    edge_i = np.concatenate([pi, imp_codes // n])
+    edge_j = np.concatenate([pj, imp_codes % n])
+
+    z = x @ factor
+    gram = z @ z.T
+    edge_sq = gram[edge_i, edge_i] + gram[edge_j, edge_j] - 2.0 * gram[edge_i, edge_j]
+    pull_sq, imp_sq = edge_sq[:n_pairs], edge_sq[n_pairs:]
+    hinge = margin + pull_sq[trip_pair_idx] - imp_sq[trip_imp_idx]
+    active = hinge > 0.0
+    loss = float(pull_sq.sum()) + push_weight * float(hinge[active].sum())
+    w_pair = np.bincount(trip_pair_idx[active], minlength=n_pairs).astype(float)
+    w_imp = np.bincount(trip_imp_idx[active], minlength=imp_sq.size).astype(float)
+
+    weights = np.concatenate([1.0 + push_weight * w_pair, -push_weight * w_imp])
+    adjacency = np.bincount(edge_i * n + edge_j, weights=weights, minlength=n * n)
+    adjacency = adjacency.reshape(n, n)
+    adjacency = adjacency + adjacency.T
+    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+    return loss, w_pair, w_imp, x.T @ (laplacian @ x)

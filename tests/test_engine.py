@@ -238,6 +238,25 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             tiny_config(fresh_null_count=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 20.0),
+            ("h0_pool", 60.5),
+            ("h1_count", 40.0),
+            ("d", 5.0),
+            ("fresh_null_count", 1.5),
+            ("master_seed", 1.5),
+            ("master_seed", -1),
+            ("master_seed", 2**64),
+        ],
+    )
+    def test_rejects_non_integer_counts_and_seeds(self, field, value):
+        """A float count used to die in train with a bare TypeError, and a
+        fractional seed trained under its truncation into an unloadable model."""
+        with pytest.raises(ConfigError, match=field):
+            tiny_config(**{field: value})
+
 
 class TestTestReport:
     """The per-sample verdict record."""

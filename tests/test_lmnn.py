@@ -5,7 +5,8 @@ Tests cover:
 - Mahalanobis distances under identity and learned metrics
 - triplet construction: target neighbors, impostors, ties, small classes,
   and agreement with a plain-loop oracle
-- the training objective's loss and gradient against explicit sums
+- the training objective's loss and gradient against explicit sums, and
+  byte for byte against the frozen plain Gram/Laplacian form
 - trainer edge cases (zero iterations, config validation)
 - the feature-space transform
 """
@@ -248,6 +249,97 @@ class TestObjective:
         assert ts.triplets.shape[0] == 0
 
 
+def _k90_problem() -> tuple[np.ndarray, np.ndarray]:
+    """A k=90 problem in which a pair has more than 255 active triplets.
+
+    The class-0 focal at the origin has 270 class-1 points within radius 1
+    as impostors, while its 90 targets sit in a far class-0 blob, so every
+    triplet of its 90 pairs is active.
+    """
+    rng = np.random.default_rng(13)
+    blob = rng.normal(size=(400, 2)) + [100.0, 0.0]
+    cluster = rng.uniform(-0.7, 0.7, size=(270, 2))
+    x = np.vstack([[[0.0, 0.0]], blob, cluster])
+    return x, np.array([0] * 401 + [1] * 270)
+
+
+def _isolated_point_problem() -> tuple[np.ndarray, np.ndarray]:
+    """A problem with a point that has no edge at all.
+
+    At k=3 a class of three holds no focals. Two of its points are
+    impostors; the third is too far to be anyone's, so it has no edge.
+    """
+    rng = np.random.default_rng(14)
+    x = np.vstack([rng.normal(size=(14, 2)), [[0.1, 0.2], [-0.3, 0.1], [1000.0, 1000.0]]])
+    return x, np.array([0] * 14 + [1] * 3)
+
+
+def _shuffled(ts: TripletSet, seed: int) -> TripletSet:
+    rng = np.random.default_rng(seed)
+    return TripletSet(rng.permutation(ts.pairs), rng.permutation(ts.triplets), ts.k)
+
+
+def _offset(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    x, labels = _two_class_problem(seed)
+    return x + 1e6, labels
+
+
+def _far_apart(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    x, labels = _two_class_problem(seed)
+    x[labels == 1] += 1000.0
+    return x, labels
+
+
+def _duplicated(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    x, labels = _two_class_problem(seed)
+    return np.vstack([x, x[::3]]), np.concatenate([labels, labels[::3]])
+
+
+class TestObjectiveBytes:
+    """evaluate() and gradient() return the bytes of the frozen plain form.
+
+    Bytes, not ==, so that a -0.0 where the plain form has +0.0 fails.
+    """
+
+    PROBLEMS = {
+        "random": (lambda: _two_class_problem(8), 2, 1.0, 1.0),
+        "duplicated-rows": (lambda: _duplicated(9), 2, 1.0, 1.0),
+        "large-offset": (lambda: _offset(10), 2, 1.0, 1.0),
+        "push-weight-and-margin": (lambda: _two_class_problem(11), 2, 2.5, 0.5),
+        "no-triplets": (lambda: _far_apart(12), 2, 1.0, 1.0),
+        "k90": (_k90_problem, 90, 1.0, 1.0),
+        "isolated-point": (_isolated_point_problem, 3, 0.3, 2.0),
+    }
+
+    @staticmethod
+    def check(x: np.ndarray, ts: TripletSet, push_weight: float, margin: float) -> np.ndarray:
+        """Compare every output byte with the frozen form; return w_pair."""
+        factor = np.eye(x.shape[1]) + 0.3 * np.random.default_rng(7).normal(size=(x.shape[1],) * 2)
+        objective = _Objective(x, ts, push_weight, margin)
+        loss, w_pair, w_imp = objective.evaluate(factor)
+        got = (np.float64(loss), w_pair, w_imp, objective.gradient(w_pair, w_imp))
+        want = oracles.frozen_lmnn_objective(x, ts.pairs, ts.triplets, factor, push_weight, margin)
+        for what, a, b in zip(("loss", "w_pair", "w_imp", "gradient"), got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), what
+        return w_pair
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["built", "shuffled"])
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_matches_frozen_form(self, problem: str, shuffle: bool) -> None:
+        make, k, push_weight, margin = self.PROBLEMS[problem]
+        x, labels = make()
+        ts = build_triplets(x, labels, k)
+        if shuffle:
+            ts = _shuffled(ts, 15)
+        w_pair = self.check(x, ts, push_weight, margin)
+        if problem == "k90":
+            assert w_pair.max() > 255
+        if problem == "isolated-point":
+            assert set(ts.triplets[:, 2]) == {14, 15}
+        if problem == "no-triplets":
+            assert ts.triplets.shape[0] == 0
+
+
 class TestTrainMetric:
     """Trainer behaviour on small problems."""
 
@@ -311,11 +403,22 @@ class TestTrainMetric:
             {"max_iters": -1},
             {"step_size": 0.0},
             {"tolerance": -1e-9},
+            {"push_weight": float("nan")},
+            {"margin": float("inf")},
+            {"step_size": float("nan")},
+            {"tolerance": float("inf")},
+            {"k": 2.5},
+            {"max_iters": 10.0},
+            {"k": True},
         ],
     )
     def test_config_validation(self, kwargs: dict) -> None:
         with pytest.raises(InvalidArgumentError):
             LmnnConfig(**kwargs)
+
+    def test_config_stores_plain_integers(self) -> None:
+        cfg = LmnnConfig(k=np.int64(3), max_iters=np.int32(7))
+        assert type(cfg.k) is int and type(cfg.max_iters) is int
 
 
 class TestTransform:

@@ -2,11 +2,14 @@
 
 Covers RunConfig validation and training-config resolution, PowerTable
 invariants, CSV/markdown emission with byte-identical round-trips,
-parse-time failure modes, paired evaluation over shared samples, and
-the block form of the PSNR/SSIM null statistics.
+parse-time failure modes, paired evaluation over shared samples, the
+block form of the PSNR/SSIM null statistics, and digests of the
+desk-scale bank and power table.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -88,6 +91,22 @@ class TestRunConfig:
         """Fewer than 100 calibration replicates is refused."""
         with pytest.raises(ConfigError):
             RunConfig(methods=("KS",), calibration_reps=99)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reps", 100.5),
+            ("n", 100.0),
+            ("calibration_reps", 200.0),
+            ("master_seed", 0.5),
+            ("master_seed", -1),
+            ("master_seed", 2**64),
+        ],
+    )
+    def test_rejects_non_integer_counts_and_seeds(self, field, value):
+        """Counts and the seed are integers, and the seed fits in 64 unsigned bits."""
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(methods=("KS",), **{field: value})
 
     def test_resolved_train_forces_the_run_sample_size(self):
         """The training config always trains at the run's n."""
@@ -294,3 +313,38 @@ class TestEmitAndParse:
         text = emit_table(ks_table).replace("mean,", "avg,")
         with pytest.raises(FormatError):
             parse_table(text)
+
+
+class TestDeskDigests:
+    """SHA-256 pins of the desk-scale bank and power table, at k=25.
+
+    TestModelDigests trains at k=5, where no pair has many active
+    triplets; these read the session fixtures, so they cost no training.
+    The model digest covers what TestModelDigests covers: selection
+    scores and mask, metric, centroid, null distances and cutoff.
+    """
+
+    MODELS = {
+        "DNT-raw": "c2bf85bb528daafe4aeadbb18b1683a52e17f6bed8f06d2993a12cdcd44e6a07",
+        "DNT-image": "07c28a9d92305950d9a540957bfec8c6e7ec9bf1ab51b288d87cf9d4fc25da12",
+    }
+    CSV = "782e4a8e25a5359044b133531ba45a58b48f75e75db3a2a764e6318df280de7a"
+
+    @pytest.mark.parametrize("method", sorted(MODELS))
+    def test_model_digest(self, full_bank, method):
+        m = full_bank[0].models[method]
+        digest = hashlib.sha256()
+        for array in (
+            m.selection.scores,
+            m.selection.mask,
+            m.metric.matrix,
+            m.centroid,
+            m.null_distances,
+            np.array([m.cutoff]),
+        ):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == self.MODELS[method]
+
+    def test_power_csv_digest(self, desk_table):
+        csv = emit_table(desk_table[0]).encode()
+        assert hashlib.sha256(csv).hexdigest() == self.CSV

@@ -215,6 +215,12 @@ class TestSeedScheme:
                     seen.add(scheme.stream(case_id, replicate, purpose))
         assert len(seen) == 16 * 2000 * 2
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True])
+    def test_rejects_a_non_integer_master_seed(self, seed) -> None:
+        """SeedScheme(1.5) used to run as SeedScheme(1)."""
+        with pytest.raises(InvalidArgumentError, match="master_seed must be an integer"):
+            SeedScheme(seed)
+
     def test_generator_reproducible(self) -> None:
         """generator() re-yields the identical draw sequence."""
         scheme = SeedScheme(5)
@@ -250,6 +256,16 @@ class TestSample:
         """-1 used to draw what 2**64 - 1 draws, and 2**64 what 0 draws."""
         with pytest.raises(InvalidArgumentError, match="seed must fit in 64 unsigned bits"):
             sample(case_spec(15), 5, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_rejects_a_non_integer_seed(self, seed) -> None:
+        """sample(spec, n, 1.5) used to draw what seed 1 draws."""
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
+            sample(case_spec(15), 5, seed)
+
+    def test_rejects_a_non_integer_size(self) -> None:
+        with pytest.raises(InvalidArgumentError, match="sample size must be an integer"):
+            sample(case_spec(15), 5.0, 0)
 
     def test_accepts_both_ends_of_the_seed_range(self) -> None:
         for seed in (0, 2**64 - 1):
