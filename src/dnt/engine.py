@@ -38,7 +38,6 @@ from .features import (
     FeatureVector,
     SelectionModel,
     _image_grid_rows,
-    apply_selection,
     extract_image,
     extract_raw,
     fit_selection,
@@ -350,6 +349,20 @@ def _chunk_scorer(statistic_fn):
     ]
 
 
+def _squared_distances(features: np.ndarray, model: DNTModel) -> np.ndarray:
+    """The ``dnt_test`` statistic of each row of a (rows, m) feature block.
+
+    The selected columns are copied to C order before the centroid is
+    subtracted: ``features[:, mask]`` is F-ordered, and the dot product
+    of a strided row can round differently from that of a contiguous
+    one. Each row then takes the one-sample quadratic form, so a row's
+    value does not depend on the rows beside it.
+    """
+    deltas = np.ascontiguousarray(features[:, model.selection.mask]) - model.centroid
+    matrix = model.metric.matrix
+    return np.array([max(delta @ matrix @ delta, 0.0) for delta in deltas])
+
+
 def dnt_test(x: Sample | np.ndarray, model: DNTModel) -> TestReport:
     """Squared metric distance of x's selected features to the centroid."""
     values = _as_values(x)
@@ -363,9 +376,7 @@ def dnt_test(x: Sample | np.ndarray, model: DNTModel) -> TestReport:
             f"extracted {len(features)} features but the model selects from "
             f"{model.selection.m}"
         )
-    selected = apply_selection(features, model.selection)
-    delta = selected.values - model.centroid
-    statistic = float(max(delta @ model.metric.matrix @ delta, 0.0))
+    statistic = float(_squared_distances(features.values[np.newaxis], model)[0])
     null = model.null_distances
     at_or_above = null.size - int(np.searchsorted(null, statistic, side="left"))
     return TestReport(

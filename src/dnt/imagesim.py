@@ -120,6 +120,14 @@ class SimilarityReference:
         """Negated similarity to the reference; larger means less normal."""
         return self._statistic(candidate.pixels, metric)
 
+    def _level_statistics(self, levels: np.ndarray, metric: str) -> np.ndarray:
+        """The statistic of each image of a (rows, 128, 128) block of rendered levels.
+
+        Level images (``qq._render_rows``) halve to the rasters' pixels
+        exactly, so each value is the one-raster value bit for bit.
+        """
+        return np.array([self._statistic(image / _POINT_LEVEL, metric) for image in levels])
+
     def _statistic(self, pixels: np.ndarray, metric: str) -> float:
         if metric == "SSIM":
             return -self._ssim(pixels)
@@ -142,13 +150,11 @@ class _SimilarityStatistic:
         """The statistic of each row of a (rows, n) sample block.
 
         The block gets one z-score pass and one render; no QQPoints or
-        QQRaster is built. Level images halve to the rasters' pixels
-        exactly, so each value is the one-sample value bit for bit.
+        QQRaster is built, and each value is the one-sample value bit
+        for bit.
         """
         levels, _, _ = _render_rows(_z_scores(samples, ascending=True))
-        return np.array(
-            [self.reference._statistic(image / _POINT_LEVEL, self.metric) for image in levels]
-        )
+        return self.reference._level_statistics(levels, self.metric)
 
 
 def similarity_test_statistic(

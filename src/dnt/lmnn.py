@@ -85,6 +85,12 @@ class TripletSet:
     different-class points inside each focal's 3k-nearest Euclidean
     neighborhood, so a focal with no nearby impostors contributes pull
     pairs but no triplets.
+
+    The structure _Objective relies on is checked here: indices are
+    nonnegative, pull pairs are unique and no pair or impostor edge
+    joins a point to itself, every triplet's (focal, target) is a pull
+    pair, and no impostor edge (focal, impostor) is one. Whether the
+    indices lie below the point count is checked where the points are.
     """
 
     pairs: np.ndarray
@@ -100,6 +106,29 @@ class TripletSet:
             raise InvalidArgumentError("triplets must be a (T, 3) index array")
         if self.k < 1:
             raise InvalidArgumentError("k must be at least 1")
+        if pairs.min() < 0 or triplets.min(initial=0) < 0:
+            raise InvalidArgumentError("pair and triplet indices must be nonnegative")
+        if np.any(pairs[:, 0] == pairs[:, 1]) or np.any(triplets[:, 0] == triplets[:, 2]):
+            raise InvalidArgumentError("no pair or impostor edge may join a point to itself")
+        size = int(max(pairs.max(), triplets.max(initial=0))) + 1
+        codes = np.sort(pairs[:, 0] * size + pairs[:, 1])
+        if np.any(codes[1:] == codes[:-1]):
+            raise InvalidArgumentError("pull pairs must not repeat")
+        if not _contains(codes, triplets[:, 0] * size + triplets[:, 1]).all():
+            raise InvalidArgumentError("every triplet's (focal, target) must be a pull pair")
+        if _contains(codes, triplets[:, 0] * size + triplets[:, 2]).any():
+            raise InvalidArgumentError("an impostor edge (focal, impostor) must not be a pull pair")
+
+
+def _contains(ascending: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each of values occurs in the nonempty ascending array.
+
+    One index array of values' size is the only temporary: triplet
+    arrays are the largest of a fit, and these checks run beside them.
+    """
+    found = np.searchsorted(ascending, values)
+    np.take(ascending, found, mode="clip", out=found)
+    return found == values
 
 
 @dataclass(frozen=True)
@@ -193,7 +222,9 @@ def build_triplets(
         pairs.append(np.column_stack([np.full_like(positives, i), positives]))
         j_col = np.repeat(positives, impostors.size)
         triplets.append(np.column_stack([np.full_like(j_col, i), j_col, np.tile(impostors, k)]))
-    return TripletSet(np.concatenate(pairs), np.concatenate(triplets), k)
+    # Drop the per-focal pieces before TripletSet copies and checks the whole.
+    pairs, triplets = np.concatenate(pairs), np.concatenate(triplets)
+    return TripletSet(pairs, triplets, k)
 
 
 def _project_psd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,11 +289,12 @@ class _Objective:
     - the hinge adds the margin to a pull distance and then subtracts
       an impostor distance, as the plain form does;
     - the loss sums hinge[active] in triplet order;
-    - edges are unique: build_triplets' pull pairs are unique and join
-      same-class points, its impostor edges different-class ones. So a
-      cell of A + A' holds at most the weights of one edge and of its
-      reverse, and a + b == b + a;
-    - no edge joins a point to itself, so A + A' has a zero diagonal;
+    - edges are unique: TripletSet refuses a repeated pull pair and an
+      impostor edge that is also a pull pair, and the impostor edges
+      are deduplicated here. So a cell of A + A' holds at most the
+      weights of one edge and of its reverse, and a + b == b + a;
+    - no edge joins a point to itself (TripletSet refuses one), so
+      A + A' has a zero diagonal;
     - negation is exact, so the bincount of the negated weights over
       both directions of every edge is the off-diagonal of L, and each
       nonzero row sum is the negated row sum of A + A'. 0.0 - sum
@@ -274,6 +306,8 @@ class _Objective:
         self.margin = margin
         self.x = x - x.mean(axis=0)
         self.n = n = x.shape[0]
+        if max(ts.pairs.max(), ts.triplets.max(initial=0)) >= n:
+            raise InvalidArgumentError(f"triplet indices must be below the {n} training points")
         pi, pj = ts.pairs[:, 0], ts.pairs[:, 1]
         self.n_pairs = pi.size
         ti, tj, tl = ts.triplets.T

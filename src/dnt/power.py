@@ -3,8 +3,11 @@
 One run calibrates or trains each requested method once, then walks
 case x replicate drawing each test sample from its own substream, so
 every method sees the identical samples and per-method differences are
-not sampling artifacts. Results land in a PowerTable that serializes
-to CSV (and markdown) and parses back byte-identically.
+not sampling artifacts. Each case is scored in chunks of replicates:
+a chunk is standardized and rendered once and scored by every method
+(``MethodBank.statistic_rows``), with the statistics ``decide`` gives
+one sample at a time, bit for bit. Results land in a PowerTable that
+serializes to CSV (and markdown) and parses back byte-identically.
 """
 
 from __future__ import annotations
@@ -13,12 +16,23 @@ import csv
 import io
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .classical import STATISTIC_NAMES, statistic_fn
-from .engine import DNTModel, TrainConfig, calibrate_cutoff, dnt_test, train
-from .errors import ConfigError, FormatError, InvalidArgumentError
+from .engine import (
+    DNTModel,
+    TrainConfig,
+    _chunks,
+    _squared_distances,
+    calibrate_cutoff,
+    dnt_test,
+    train,
+)
+from .errors import ConfigError, FormatError, InvalidArgumentError, ModelMismatchError
+from .features import _image_grid_rows
 from .imagesim import METRIC_NAMES, SimilarityReference, _SimilarityStatistic
-from .qq import qq_points, rasterize
-from .sampling import Sample, SeedScheme, _integer, _seed, case_spec, replicates
+from .qq import _render_rows, qq_points, rasterize
+from .sampling import Sample, SeedScheme, _as_values, _integer, _seed, _z_scores, case_spec
 
 __all__ = [
     "METHOD_NAMES",
@@ -88,22 +102,45 @@ class RunConfig:
 
 
 class MethodBank:
-    """Calibrated statistic methods plus trained models, built once."""
+    """Calibrated statistic methods plus trained models for samples of size n, built once."""
 
     def __init__(
         self,
         methods: tuple[str, ...],
+        n: int,
         cutoffs: dict[str, float],
         models: dict[str, DNTModel],
         reference: SimilarityReference | None,
     ):
+        for name, model in models.items():
+            if (model.n, model.extractor_id) != (n, _EXTRACTORS.get(name)):
+                raise InvalidArgumentError(
+                    f"{name} needs a {_EXTRACTORS.get(name)} model for n={n}, got a "
+                    f"{model.extractor_id} model for n={model.n}"
+                )
         self.methods = methods
+        self.n = n
         self.cutoffs = cutoffs
         self.models = models
         self.reference = reference
 
+    def cutoff(self, name: str) -> float:
+        """The value above which method name rejects."""
+        return self.models[name].cutoff if name in _EXTRACTORS else self.cutoffs[name]
+
     def decide(self, x: Sample) -> dict[str, bool]:
-        """Reject/accept under every method for one sample."""
+        """Reject/accept under every method for one sample of size n.
+
+        This is the one-sample path, and it stays one: it calls the public
+        one-sample functions (``dnt_test``, ``rasterize``, each
+        ``statistic_fn``) whose calls perfbench's tracer counts, while
+        ``statistic_rows`` gives the same statistics for a block.
+        """
+        size = _as_values(x).size
+        if size != self.n:
+            raise ModelMismatchError(
+                f"methods were built for n={self.n}, got a sample of n={size}"
+            )
         out: dict[str, bool] = {}
         raster = None
         for name in self.methods:
@@ -117,6 +154,33 @@ class MethodBank:
             else:
                 stat = statistic_fn(name)(x)
                 out[name] = stat.calibration_value > self.cutoffs[name]
+        return out
+
+    def statistic_rows(self, samples: np.ndarray) -> dict[str, np.ndarray]:
+        """Each method's statistic of each row of a (rows, n) sample block.
+
+        The block is standardized once, for the RawOrder features and
+        the render, and rendered once, for the ImageGrid features and
+        PSNR/SSIM; each classical statistic runs its
+        ``calibration_rows`` kernel. Row r's statistics are those that
+        ``decide`` compares with ``cutoff`` for sample r, bit for bit,
+        and a row that ``decide`` refuses makes the block raise the same
+        error type.
+        """
+        z = levels = None
+        if any(name not in STATISTIC_NAMES for name in self.methods):
+            z = _z_scores(samples, ascending=True)
+        if any(name in ("DNT-image", *METRIC_NAMES) for name in self.methods):
+            levels = _render_rows(z)[0]
+        out: dict[str, np.ndarray] = {}
+        for name in self.methods:
+            if name in _EXTRACTORS:
+                features = z if name == "DNT-raw" else _image_grid_rows(levels)
+                out[name] = _squared_distances(features, self.models[name])
+            elif name in METRIC_NAMES:
+                out[name] = self.reference._level_statistics(levels, name)
+            else:
+                out[name] = statistic_fn(name).calibration_rows(samples)
         return out
 
 
@@ -155,7 +219,7 @@ def build_methods(cfg: RunConfig) -> MethodBank:
                 alpha=0.05,
                 seed=cfg.master_seed,
             )
-    return MethodBank(cfg.methods, cutoffs, models, reference)
+    return MethodBank(cfg.methods, cfg.n, cutoffs, models, reference)
 
 
 @dataclass(frozen=True)
@@ -184,18 +248,24 @@ class PowerTable:
 
 
 def run_power_study(cfg: RunConfig, bank: MethodBank | None = None) -> PowerTable:
-    """Evaluate every method on identical per-replicate test samples."""
+    """Evaluate every method on identical per-replicate test samples.
+
+    Each case is scored a chunk of replicates at a time, as
+    ``engine._chunks`` draws them, by ``bank.statistic_rows``.
+    """
     if bank is None:
         bank = build_methods(cfg)
     elif tuple(bank.methods) != tuple(cfg.methods):
         raise InvalidArgumentError("prebuilt methods do not match cfg.methods")
+    elif bank.n != cfg.n:
+        raise InvalidArgumentError(f"prebuilt methods were built for n={bank.n}, not {cfg.n}")
     scheme = SeedScheme(cfg.master_seed)
     counts = {case_id: {name: 0 for name in cfg.methods} for case_id in _CASE_IDS}
     for case_id in _CASE_IDS:
-        for x in replicates(case_spec(case_id), cfg.n, scheme, "test", range(cfg.reps)):
-            for name, rejected in bank.decide(x).items():
-                if rejected:
-                    counts[case_id][name] += 1
+        for _, chunk in _chunks(case_spec(case_id), cfg.reps, cfg.n, scheme, "test"):
+            statistics = bank.statistic_rows(np.stack([x.values for x in chunk]))
+            for name, values in statistics.items():
+                counts[case_id][name] += int(np.count_nonzero(values > bank.cutoff(name)))
     fractions = {
         case_id: {name: counts[case_id][name] / cfg.reps for name in cfg.methods}
         for case_id in _CASE_IDS

@@ -190,6 +190,31 @@ class TestBuildTriplets:
         with pytest.raises(InvalidArgumentError):
             TripletSet(np.array([[0, 1]]), np.array([[0.0, 1.0, 2.5]]), k=1)
 
+    # (pairs, triplets) that break the structure _Objective relies on;
+    # before these checks each one was accepted or hit an IndexError.
+    BROKEN_STRUCTURES = {
+        "target-not-a-pair-sorting-last": ([[0, 1]], [[0, 2, 3]]),
+        "target-not-a-pair-sorting-first": ([[1, 2], [2, 1]], [[0, 3, 2]]),
+        "repeated-pair": ([[0, 1], [1, 0], [0, 1]], [[0, 1, 2]]),
+        "self-pair": ([[0, 1], [2, 2]], [[0, 1, 3]]),
+        "impostor-edge-is-a-pair": ([[0, 1], [0, 2]], [[0, 1, 2]]),
+        "impostor-is-the-focal": ([[0, 1]], [[0, 1, 0]]),
+        "negative-index": ([[0, 1], [-1, 0]], [[0, 1, 2]]),
+    }
+
+    @pytest.mark.parametrize("structure", sorted(BROKEN_STRUCTURES))
+    def test_triplet_set_refuses_a_broken_structure(self, structure: str) -> None:
+        pairs, triplets = self.BROKEN_STRUCTURES[structure]
+        with pytest.raises(InvalidArgumentError):
+            TripletSet(np.array(pairs), np.array(triplets), k=1)
+
+    @pytest.mark.parametrize("pairs, triplets", [([[0, 4]], [[0, 4, 1]]), ([[0, 1]], [[0, 1, 4]])])
+    def test_objective_refuses_an_index_past_the_points(self, pairs, triplets) -> None:
+        """Four points: index 4 is out of range, as a pair's target or as an impostor."""
+        ts = TripletSet(np.array(pairs), np.array(triplets), k=1)
+        with pytest.raises(InvalidArgumentError, match="4 training points"):
+            _Objective(np.arange(8.0).reshape(4, 2), ts, 1.0, 1.0)
+
 
 def _two_class_problem(seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)

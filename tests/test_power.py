@@ -3,6 +3,7 @@
 Covers RunConfig validation and training-config resolution, PowerTable
 invariants, CSV/markdown emission with byte-identical round-trips,
 parse-time failure modes, paired evaluation over shared samples, the
+block scoring of the study against the one-sample decide path, the
 block form of the PSNR/SSIM null statistics, and digests of the
 desk-scale bank and power table.
 """
@@ -16,21 +17,40 @@ import pytest
 
 from dnt import (
     ConfigError,
+    DntError,
     FormatError,
     InvalidArgumentError,
+    ModelMismatchError,
     PowerTable,
     RunConfig,
     TrainConfig,
     calibrate_cutoff,
     case_spec,
+    dnt_test,
     emit_table,
     parse_table,
     run_power_study,
     sample,
 )
-from dnt.imagesim import SimilarityReference
+from dnt.classical import statistic_fn
+from dnt.engine import _chunks, _squared_distances
+from dnt.features import _image_grid_rows
+from dnt.imagesim import METRIC_NAMES, SimilarityReference
+from dnt.lmnn import LmnnConfig
 from dnt.power import METHOD_NAMES, MethodBank, build_methods, null_statistic
-from dnt.qq import QQRaster
+from dnt.qq import QQRaster, _render_rows, qq_points, rasterize
+from dnt.sampling import SeedScheme, _z_scores
+
+# All ten methods at n=50, where a chunk of replicates holds 128 rows,
+# with small k=5 models, so that 130 replicates span a chunk boundary.
+SMALL_CFG = RunConfig(
+    methods=METHOD_NAMES,
+    reps=130,
+    n=50,
+    calibration_reps=200,
+    train=TrainConfig(h0_pool=400, h0_keep_fraction=0.1, h1_count=60, d=20, lmnn=LmnnConfig(k=5)),
+    master_seed=11,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +68,27 @@ def ks_cfg() -> RunConfig:
 @pytest.fixture(scope="module")
 def ks_table(ks_cfg) -> PowerTable:
     return run_power_study(ks_cfg)
+
+
+@pytest.fixture(scope="module")
+def small_bank() -> MethodBank:
+    return build_methods(SMALL_CFG)
+
+
+def case_chunks(case_id: int) -> list[list]:
+    """The study's chunks of test samples for one case of SMALL_CFG."""
+    scheme = SeedScheme(SMALL_CFG.master_seed)
+    spec = case_spec(case_id)
+    return [chunk for _, chunk in _chunks(spec, SMALL_CFG.reps, SMALL_CFG.n, scheme, "test")]
+
+
+def one_statistic(bank: MethodBank, name: str, x) -> float:
+    """The statistic that decide compares with method name's cutoff for one sample."""
+    if name in bank.models:
+        return dnt_test(x, bank.models[name]).statistic
+    if name in METRIC_NAMES:
+        return bank.reference.statistic(rasterize(qq_points(x)), name)
+    return statistic_fn(name)(x).calibration_value
 
 
 def minimal_table(value: float = 0.1) -> PowerTable:
@@ -205,9 +246,27 @@ class TestRunPowerStudy:
 
     def test_prebuilt_bank_must_match_the_config(self, ks_cfg):
         """A bank built for other methods is rejected up front."""
-        bank = MethodBank(("AD",), {"AD": 1.0}, {}, None)
+        bank = MethodBank(("AD",), ks_cfg.n, {"AD": 1.0}, {}, None)
         with pytest.raises(InvalidArgumentError):
             run_power_study(ks_cfg, bank)
+
+    def test_prebuilt_bank_must_match_the_sample_size(self, ks_cfg):
+        """A bank calibrated at n=50 does not run a study at n=100."""
+        bank = build_methods(ks_cfg)
+        with pytest.raises(InvalidArgumentError, match="n=50"):
+            run_power_study(RunConfig(methods=("KS",), reps=50, n=100, master_seed=5), bank)
+
+    @pytest.mark.parametrize("name, n", [("DNT-raw", 50), ("DNT-image", 60)])
+    def test_bank_refuses_a_model_of_another_kind_or_size(self, small_bank, name, n):
+        """DNT-raw scores RawOrder features, and every model is for the bank's n."""
+        with pytest.raises(InvalidArgumentError, match=name):
+            MethodBank((name,), n, {}, {name: small_bank.models["DNT-image"]}, None)
+
+    def test_decide_refuses_a_sample_of_another_size(self, ks_cfg):
+        """decide refuses what dnt_test refuses: a sample of another n."""
+        bank = build_methods(ks_cfg)
+        with pytest.raises(ModelMismatchError, match="n=50"):
+            bank.decide(sample(case_spec(15), 100, seed=1))
 
     def test_prebuilt_bank_reproduces_the_internal_build(self, ks_cfg, ks_table):
         """Passing the bank explicitly changes nothing in the output."""
@@ -221,6 +280,50 @@ class TestRunPowerStudy:
         verdicts = bank.decide(x)
         assert set(verdicts) == {"KS"}
         assert isinstance(verdicts["KS"], bool)
+
+
+class TestBlockScoring:
+    """statistic_rows, the study's block path, against the one-sample decide path."""
+
+    @pytest.mark.parametrize("case_id", [1, 5, 11, 15])
+    def test_block_statistics_are_decide_statistics(self, small_bank, case_id):
+        """Bytes of every method's statistics over a 128-row chunk and the 2-row rest."""
+        chunks = case_chunks(case_id)
+        assert [len(chunk) for chunk in chunks] == [128, 2]
+        blocks = [small_bank.statistic_rows(np.stack([x.values for x in c])) for c in chunks]
+        samples = [x for chunk in chunks for x in chunk]
+        verdicts = [small_bank.decide(x) for x in samples]
+        for name in METHOD_NAMES:
+            got = np.concatenate([block[name] for block in blocks])
+            want = np.array([one_statistic(small_bank, name, x) for x in samples])
+            assert got.tobytes() == want.tobytes(), name
+            assert list(got > small_bank.cutoff(name)) == [v[name] for v in verdicts], name
+
+    @pytest.mark.parametrize("name", ["DNT-raw", "DNT-image"])
+    def test_strided_selection_is_scored_in_c_order(self, small_bank, name):
+        """features[:, mask] is F-ordered; each row must still give dnt_test's bits."""
+        model = small_bank.models[name]
+        chunk = case_chunks(1)[0]
+        z = _z_scores(np.stack([x.values for x in chunk]), ascending=True)
+        features = z if name == "DNT-raw" else _image_grid_rows(_render_rows(z)[0])
+        assert not features[:, model.selection.mask].flags.c_contiguous
+        want = np.array([dnt_test(x, model).statistic for x in chunk])
+        assert _squared_distances(features, model).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", [*METHOD_NAMES, "all"])
+    def test_constant_row_raises_what_decide_raises(self, small_bank, name):
+        """One constant row refuses the chunk with decide's error type for that row."""
+        methods = METHOD_NAMES if name == "all" else (name,)
+        bank = MethodBank(
+            methods, small_bank.n, small_bank.cutoffs, small_bank.models, small_bank.reference
+        )
+        block = np.stack([x.values for x in case_chunks(15)[1]] * 3)
+        block[3] = 2.5
+        with pytest.raises(DntError) as one:
+            bank.decide(block[3])
+        with pytest.raises(DntError) as whole:
+            bank.statistic_rows(block)
+        assert type(whole.value) is type(one.value)
 
 
 class TestSimilarityNullStatistic:
