@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .normal import normal_quantile
-from .sampling import Sample, _array, _as_values, _frozen, _z_scores
+from .sampling import Sample, _array, _as_values, _frozen, _integer, _z_scores
 
 __all__ = [
     "RASTER_SIZE",
@@ -98,6 +98,7 @@ class QQRaster:
 
 def plotting_positions(n: int) -> np.ndarray:
     """p_i = (i - a)/(n + 1 - 2a), a = 3/8 for n <= 10 and 1/2 above."""
+    n = _integer(n, "n")
     if n < 1:
         raise InvalidArgumentError("n must be at least 1")
     a = 0.375 if n <= 10 else 0.5
@@ -121,7 +122,8 @@ def qq_points(x: Sample | np.ndarray) -> QQPoints:
 
 def ideal_points(n: int) -> QQPoints:
     """The perfect-fit point set: empirical equals theoretical."""
-    theoretical = _normal_scores(n)
+    # Checked here too: _normal_scores' cache would serve 100.0 as 100.
+    theoretical = _normal_scores(_integer(n, "n"))
     return QQPoints(theoretical, theoretical)
 
 

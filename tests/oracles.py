@@ -3,9 +3,12 @@
 Everything here is written straight from the defining formulas, in plain
 Python loops, with mpmath supplying high-precision special functions.
 Nothing imports the dnt package, so agreement between these functions
-and the package is evidence, not tautology. The one exception to the
-loops is frozen_lmnn_objective: a numpy copy of the metric learner's
-objective before its segment-sum rewrite, which it must match byte for byte.
+and the package is evidence, not tautology. The exceptions to the loops
+are the frozen_* functions: numpy copies of a package kernel before a
+rewrite, which the rewrite must match byte for byte. They are
+frozen_lmnn_objective, the metric learner's objective before its
+segment-sum form, and frozen_ssim, the dense SSIM filter before its
+sparse row pass.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 mp.mp.dps = 30
 
@@ -356,6 +360,40 @@ def oracle_psnr(a: list[list[float]], b: list[list[float]]) -> float:
             mse += (a[r][c] - b[r][c]) ** 2
     mse /= rows * cols
     return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
+
+
+def _frozen_kernel() -> np.ndarray:
+    offsets = np.arange(11, dtype=float) - 5
+    g = np.exp(-(offsets**2) / (2.0 * 1.5**2))
+    return g / g.sum()
+
+
+_FROZEN_G = _frozen_kernel()
+
+
+def frozen_filter_valid(img: np.ndarray) -> np.ndarray:
+    """The dense separable Gaussian window sum before the sparse row pass."""
+    rows = sliding_window_view(img, 11, axis=1) @ _FROZEN_G
+    return sliding_window_view(rows, 11, axis=0) @ _FROZEN_G
+
+
+def frozen_ssim(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Mean SSIM of pa against reference pb by dense filtering, a bit-exact reference.
+
+    The reference's window statistics are taken as a SimilarityReference
+    took them: mu_b, then var_b from the filtered square. Any rewrite of
+    the SSIM filter must return these bytes, so this copy is never to be
+    edited.
+    """
+    mu_b = frozen_filter_valid(pb)
+    var_b = frozen_filter_valid(pb * pb) - mu_b**2
+    mu_a = frozen_filter_valid(pa)
+    var_a = frozen_filter_valid(pa * pa) - mu_a**2
+    cov = frozen_filter_valid(pa * pb) - mu_a * mu_b
+    c1, c2 = 0.01**2, 0.03**2
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ Tests cover:
 - the precomputed reference fast path
 - the negated-similarity statistic and its direction
 - SimilarityScore validation
+- the sparse SSIM filter against a frozen copy of the dense one, byte for byte
+- argument checks: non-raster arguments and a non-integer n
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 import oracles
 from dnt.errors import InvalidArgumentError
 from dnt.imagesim import (
+    _SSIM_BLOCK,
     METRIC_NAMES,
     SimilarityReference,
     SimilarityScore,
@@ -25,8 +28,17 @@ from dnt.imagesim import (
     similarity_test_statistic,
     ssim,
 )
-from dnt.qq import RASTER_SIZE, QQRaster, ideal_points, qq_points, rasterize
-from dnt.sampling import case_spec, sample
+from dnt.qq import (
+    _PIXELS,
+    _POINT_LEVEL,
+    RASTER_SIZE,
+    QQRaster,
+    _render_rows,
+    ideal_points,
+    qq_points,
+    rasterize,
+)
+from dnt.sampling import _z_scores, case_spec, sample
 
 
 def _random_raster(seed: int) -> QQRaster:
@@ -161,3 +173,129 @@ class TestSimilarityScore:
     def test_rejects_unknown_metric(self) -> None:
         with pytest.raises(InvalidArgumentError):
             SimilarityScore("MSE", 0.1)
+
+
+def _levels(case: int, n: int, rows: int) -> np.ndarray:
+    """The rendered level block of rows replicates of a case, as a power-study chunk."""
+    block = np.stack([sample(case_spec(case), n, seed).values for seed in range(rows)])
+    return _render_rows(_z_scores(block, ascending=True))[0]
+
+
+def _frozen_statistics(reference: SimilarityReference, images) -> np.ndarray:
+    return np.array([-oracles.frozen_ssim(pixels, reference.raster.pixels) for pixels in images])
+
+
+def _edge_raster() -> QQRaster:
+    """The anchor line plus points on rows and columns 0 and 127, corners included."""
+    pixels = _PIXELS.copy()
+    last = RASTER_SIZE - 1
+    corners = [(0, 0), (0, last), (last, 0), (last, last)]
+    for r, c in corners + [(0, 40), (90, 0), (last, 70), (20, last)]:
+        pixels[r, c] = 1.0
+    pixels[last, 1:4] = 1.0
+    pixels[50:53, last] = 1.0
+    return QQRaster(pixels, (0.0, 1.0))
+
+
+class TestSparseFilter:
+    """The sparse SSIM kernel against a frozen copy of the dense filter, by bytes."""
+
+    @pytest.mark.parametrize("case", range(1, 16))
+    def test_level_block_matches_the_dense_filter(self, case) -> None:
+        """An 81-row chunk (n=100), so the last sub-block is short."""
+        reference = SimilarityReference.ideal(100)
+        levels = _levels(case, 100, 81)
+        got = reference._level_statistics(levels, "SSIM")
+        want = _frozen_statistics(reference, levels / _POINT_LEVEL)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", range(1, 2 * _SSIM_BLOCK + 2))
+    def test_every_sub_block_split_matches(self, rows) -> None:
+        reference = SimilarityReference.ideal(40)
+        levels = _levels(13, 40, rows)
+        got = reference._level_statistics(levels, "SSIM")
+        assert got.tobytes() == _frozen_statistics(reference, levels / _POINT_LEVEL).tobytes()
+
+    def test_points_on_the_border_match(self) -> None:
+        """Points on rows and columns 0 and 127, as candidate and as reference."""
+        edge = _edge_raster()
+        ideal = SimilarityReference.ideal(100)
+        got = ideal.statistic(edge, "SSIM")
+        assert np.float64(got).tobytes() == _frozen_statistics(ideal, [edge.pixels]).tobytes()
+        candidate = rasterize(qq_points(sample(case_spec(3), 100, 5)))
+        got = SimilarityReference(edge).statistic(candidate, "SSIM")
+        want = -oracles.frozen_ssim(candidate.pixels, edge.pixels)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 11, 100])
+    def test_ideal_raster_scores_exactly_minus_one(self, n) -> None:
+        reference = SimilarityReference.ideal(n)
+        assert reference.statistic(reference.raster, "SSIM") == -1.0
+
+    @pytest.mark.parametrize("seed", range(20, 24))
+    def test_dense_random_rasters_match(self, seed) -> None:
+        """Every pixel nonzero and no product exact, against two references."""
+        candidate = _random_raster(seed)
+        other = SimilarityReference(_random_raster(seed + 100))
+        for reference in (SimilarityReference.ideal(100), other):
+            got = reference.ssim_against(candidate)
+            want = oracles.frozen_ssim(candidate.pixels, reference.raster.pixels)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_reference_window_statistics_match(self) -> None:
+        pixels = _random_raster(30).pixels
+        reference = SimilarityReference(QQRaster(pixels, (0.0, 1.0)))
+        mu = oracles.frozen_filter_valid(pixels)
+        assert reference._mu.tobytes() == mu.tobytes()
+        var = oracles.frozen_filter_valid(pixels * pixels) - mu**2
+        assert reference._var.tobytes() == var.tobytes()
+
+    def test_one_raster_is_its_row_of_a_block(self) -> None:
+        reference = SimilarityReference.ideal(60)
+        levels = _levels(9, 60, 2 * _SSIM_BLOCK + 1)
+        block = reference._level_statistics(levels, "SSIM")
+        for row, image in zip(block, levels):
+            candidate = QQRaster(image / _POINT_LEVEL, (0.0, 1.0))
+            assert np.float64(reference.statistic(candidate, "SSIM")).tobytes() == row.tobytes()
+
+
+class TestArgumentChecks:
+    """Non-raster arguments and a non-integer n are refused as InvalidArgumentError."""
+
+    @pytest.mark.parametrize("n", [10.5, 100.0, True], ids=["fraction", "whole-float", "bool"])
+    def test_ideal_rejects_a_non_integer_n(self, n) -> None:
+        SimilarityReference.ideal(100)
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            SimilarityReference.ideal(n)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r, x: SimilarityReference(x),
+            lambda r, x: ssim(x, r),
+            lambda r, x: ssim(r, x),
+            lambda r, x: psnr(x, r),
+            lambda r, x: psnr(r, x),
+            lambda r, x: similarity_test_statistic(sample(case_spec(15), 50, 1), reference=x),
+            lambda r, x: SimilarityReference(r).statistic(x, "SSIM"),
+            lambda r, x: SimilarityReference(r).statistic(x, "PSNR"),
+            lambda r, x: SimilarityReference(r).ssim_against(x),
+            lambda r, x: SimilarityReference(r).psnr_against(x),
+        ],
+        ids=[
+            "reference",
+            "ssim-a",
+            "ssim-b",
+            "psnr-a",
+            "psnr-b",
+            "test-statistic-reference",
+            "statistic-ssim",
+            "statistic-psnr",
+            "ssim-against",
+            "psnr-against",
+        ],
+    )
+    def test_rejects_a_non_raster(self, call) -> None:
+        raster = rasterize(ideal_points(50))
+        with pytest.raises(InvalidArgumentError, match="must be a QQRaster, got ndarray"):
+            call(raster, raster.pixels)

@@ -69,6 +69,12 @@ class TestPlottingPositions:
         with pytest.raises(InvalidArgumentError):
             plotting_positions(0)
 
+    @pytest.mark.parametrize("n", [2.5, True], ids=["float", "bool"])
+    def test_rejects_a_non_integer_n(self, n) -> None:
+        """Not truncated or counted as 1: the scalar rule that sample() applies."""
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            plotting_positions(n)
+
 
 class TestQQPoints:
     """Point-set construction."""
@@ -90,6 +96,13 @@ class TestQQPoints:
         """Ideal construction duplicates theoretical into empirical."""
         points = ideal_points(30)
         assert np.array_equal(points.theoretical, points.empirical)
+
+    @pytest.mark.parametrize("n", [10.5, 100.0], ids=["fraction", "whole-float"])
+    def test_ideal_points_rejects_a_non_integer_n(self, n) -> None:
+        """100.0 is refused even after ideal_points(100) filled the score cache."""
+        ideal_points(100)
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            ideal_points(n)
 
     def test_location_scale_invariance(self) -> None:
         """qq_points are unchanged by positive affine maps of the sample."""
