@@ -6,10 +6,12 @@ features, learns a metric, and calibrates a rejection cutoff from the
 squared metric distances of the whole null pool to the kept-null
 centroid. Testing maps a new sample through the same pipeline and
 rejects when its squared distance exceeds the cutoff; its Monte-Carlo
-p-value counts the null distances at or above the statistic. Models
-persist as canonical JSON: scalars are JSON numbers, and every array is
-stored as exact binary, base64 of its little-endian float64 or int64
-bytes, so a save/load round trip is bit-exact.
+p-value counts the null distances at or above the statistic. Every
+Monte-Carlo loop (training, ``calibrate_cutoff`` and the power study)
+draws its replicates through ``_chunks``, a (rows, n) block at a time.
+Models persist as canonical JSON: scalars are JSON numbers, and every
+array is stored as exact binary, base64 of its little-endian float64 or
+int64 bytes, so a save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import binascii
 import json
 import math
-import operator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import get_args, get_type_hints
@@ -50,6 +51,7 @@ from .sampling import (
     SeedScheme,
     _array,
     _as_values,
+    _finite,
     _frozen,
     _integer,
     _seed,
@@ -57,7 +59,7 @@ from .sampling import (
     benchmark_case_id,
     case_spec,
     parse_distribution_label,
-    replicates,
+    sample,
 )
 
 __all__ = [
@@ -218,11 +220,17 @@ def extract_features(x: Sample | np.ndarray, extractor_id: str) -> FeatureVector
 
 
 def _chunks(spec: DistributionSpec, count: int, n: int, scheme: SeedScheme, purpose: str):
-    """Replicates 0..count-1 of spec in consecutive chunks: (first index, list of Samples)."""
+    """Replicates 0..count-1 of spec in consecutive chunks: (first index, (rows, n) block).
+
+    Replicate r is ``sample(spec, n, scheme.stream(case, r, purpose))``,
+    where case is spec's benchmark row id, or 0 for a law off the table.
+    """
+    case = benchmark_case_id(spec.kind, spec.params) or 0
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // max(n, 3)))
     for start in range(0, count, rows):
         indices = range(start, min(start + rows, count))
-        yield start, list(replicates(spec, n, scheme, purpose, indices))
+        draws = [sample(spec, n, scheme.stream(case, r, purpose)).values for r in indices]
+        yield start, np.stack(draws)
 
 
 def _feature_rows(samples: np.ndarray, extractor_id: str) -> np.ndarray:
@@ -242,9 +250,8 @@ def _feature_block(
     extractor_id: str,
 ) -> np.ndarray:
     features = np.empty((count, n if extractor_id == "RawOrder" else IMAGE_GRID_LENGTH))
-    for start, chunk in _chunks(spec, count, n, scheme, purpose):
-        values = np.stack([x.values for x in chunk])
-        features[start : start + len(chunk)] = _feature_rows(values, extractor_id)
+    for start, block in _chunks(spec, count, n, scheme, purpose):
+        features[start : start + len(block)] = _feature_rows(block, extractor_id)
     return features
 
 
@@ -310,43 +317,32 @@ def calibrate_cutoff(
 
     statistic_fn may return a float or a TestStatistic; two-sided
     statistics are calibrated on their absolute value. Replicate r is
-    drawn from its own ``calibrate`` stream, in chunks of about
-    _CHUNK_VALUES values and at most _CHUNK_ROWS rows; each chunk is
-    scored at once (see _chunk_scorer).
+    drawn from its own ``calibrate`` stream, in (rows, n) blocks of
+    about _CHUNK_VALUES values and at most _CHUNK_ROWS rows. A callable
+    with a ``calibration_rows`` block form (each classical statistic,
+    any ``functools.wraps`` wrapper of one, and
+    ``power.null_statistic("SSIM", n)``) scores a whole block with one
+    call; any other callable is applied to each row as a ``Sample``.
     """
-    try:
-        n, reps = operator.index(n), operator.index(reps)
-    except TypeError:
-        raise InvalidArgumentError("n and reps must be integers") from None
+    n, reps = _integer(n, "n"), _integer(reps, "reps")
+    _finite(alpha, "alpha")
     if reps < 100:
         raise InvalidArgumentError("calibration needs at least 100 replicates")
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError("alpha must be in (0, 1)")
     scheme = SeedScheme(seed)
-    score = _chunk_scorer(statistic_fn)
+    kernel = getattr(statistic_fn, "calibration_rows", None)
     values = np.empty(reps)
-    for start, chunk in _chunks(case_spec(_NULL_CASE), reps, n, scheme, "calibrate"):
-        values[start : start + len(chunk)] = score(chunk)
+    for start, block in _chunks(case_spec(_NULL_CASE), reps, n, scheme, "calibrate"):
+        if kernel is None:
+            results = [statistic_fn(Sample(row)) for row in block]
+            values[start : start + len(block)] = [
+                r.calibration_value if isinstance(r, TestStatistic) else float(r) for r in results
+            ]
+        else:
+            values[start : start + len(block)] = kernel(block)
     values.sort()
     return _upper_quantile(values, alpha)
-
-
-def _chunk_scorer(statistic_fn):
-    """Calibration values of a list of null Samples under statistic_fn.
-
-    A callable with a ``calibration_rows`` block form (each classical
-    statistic, any ``functools.wraps`` wrapper of one, and
-    ``power.null_statistic("SSIM", n)``) scores the whole chunk with
-    one call on its (rows, n) values; any other callable is applied
-    sample by sample.
-    """
-    kernel = getattr(statistic_fn, "calibration_rows", None)
-    if kernel is not None:
-        return lambda chunk: kernel(np.stack([x.values for x in chunk]))
-    return lambda chunk: [
-        r.calibration_value if isinstance(r, TestStatistic) else float(r)
-        for r in map(statistic_fn, chunk)
-    ]
 
 
 def _squared_distances(features: np.ndarray, model: DNTModel) -> np.ndarray:

@@ -7,7 +7,9 @@ classic construction: 11x11 Gaussian window (sigma 1.5), stride 1,
 valid placements only, constants C1=0.01^2 and C2=0.03^2 at dynamic
 range 1, mean pooling. A SimilarityReference computes the window
 statistics of its raster once, because power studies evaluate thousands
-of rasters against the same reference.
+of rasters against the same reference. Its one block method,
+``_level_statistics``, scores a block of images under either metric;
+``statistic`` is its one-row call, and ``ssim`` negates that.
 
 One kernel, ``_window_sums``, filters a block of images: the window
 sums of pa, pa*pa and pa*pb, where pb is the reference. A rendered
@@ -116,8 +118,11 @@ def _window_sums(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return sliding_window_view(valid, _WINDOW, axis=-2) @ _G
 
 
-def _psnr(a: np.ndarray, b: np.ndarray) -> float:
-    mse = float(np.mean((a - b) ** 2))
+def _psnr(a: np.ndarray, b: np.ndarray, top=1.0) -> float:
+    """PSNR of intensities a / top against b, through one temporary."""
+    diff = a / top
+    diff -= b
+    mse = float(np.mean(np.square(diff, out=diff)))
     return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
 
 
@@ -135,7 +140,7 @@ def psnr(a: QQRaster, b: QQRaster) -> SimilarityScore:
 
 def ssim(a: QQRaster, b: QQRaster) -> SimilarityScore:
     """Mean structural similarity over sliding Gaussian windows."""
-    return SimilarityScore("SSIM", SimilarityReference(b).ssim_against(a))
+    return SimilarityScore("SSIM", -SimilarityReference(b).statistic(a, "SSIM"))
 
 
 class SimilarityReference:
@@ -153,50 +158,34 @@ class SimilarityReference:
         """Reference for samples of size n: points exactly on the line."""
         return cls(rasterize(ideal_points(n)))
 
-    def ssim_against(self, candidate: QQRaster) -> float:
-        """Mean SSIM of candidate against the reference."""
-        return self._ssim(_raster(candidate, "candidate").pixels)
-
-    def _ssim(self, pa: np.ndarray) -> float:
-        return float(self._ssim_rows(pa[np.newaxis])[0])
-
-    def _ssim_rows(self, pa: np.ndarray) -> np.ndarray:
-        """Mean SSIM of each image of a (rows, 128, 128) block against the reference."""
-        mu_a, sq_a, prod = _window_sums(pa, self._pixels)
-        mu_b, var_b = self._mu, self._var
-        mu_a_sq = mu_a**2
-        num = (2.0 * mu_a * mu_b + _C1) * (2.0 * (prod - mu_a * mu_b) + _C2)
-        den = (mu_a_sq + mu_b**2 + _C1) * (sq_a - mu_a_sq + var_b + _C2)
-        return (num / den).reshape(pa.shape[0], -1).mean(axis=1)
-
-    def psnr_against(self, candidate: QQRaster) -> float:
-        return _psnr(_raster(candidate, "candidate").pixels, self._pixels)
-
     def statistic(self, candidate: QQRaster, metric: str) -> float:
         """Negated similarity to the reference; larger means less normal."""
-        return self._statistic(_raster(candidate, "candidate").pixels, metric)
+        pixels = _raster(candidate, "candidate").pixels
+        return float(self._level_statistics(pixels[np.newaxis], metric, 1.0)[0])
 
-    def _level_statistics(self, levels: np.ndarray, metric: str) -> np.ndarray:
-        """The statistic of each image of a (rows, 128, 128) block of rendered levels.
+    def _level_statistics(self, images: np.ndarray, metric: str, top=_POINT_LEVEL) -> np.ndarray:
+        """The statistic of each image of a (rows, 128, 128) block.
 
-        Level images (``qq._render_rows``) halve to the rasters' pixels
-        exactly, so each value is the one-raster value bit for bit. SSIM
-        takes _SSIM_BLOCK images per kernel call.
+        A pixel's intensity is its image value divided by top: 1.0 for
+        float rasters, and by default the point level 2 of rendered
+        levels (``qq._render_rows``), which halve to their rasters'
+        pixels exactly. So a value does not depend on the block it is
+        in. SSIM takes _SSIM_BLOCK images per kernel call.
         """
-        if metric != "SSIM":
-            return np.array([self._statistic(image / _POINT_LEVEL, metric) for image in levels])
-        out = np.empty(levels.shape[0])
-        for start in range(0, out.size, _SSIM_BLOCK):
-            block = levels[start : start + _SSIM_BLOCK] / _POINT_LEVEL
-            out[start : start + _SSIM_BLOCK] = -self._ssim_rows(block)
-        return out
-
-    def _statistic(self, pixels: np.ndarray, metric: str) -> float:
-        if metric == "SSIM":
-            return -self._ssim(pixels)
         if metric == "PSNR":
-            return -_psnr(pixels, self._pixels)
-        raise InvalidArgumentError(f"unknown metric {metric!r}")
+            return np.array([-_psnr(image, self._pixels, top) for image in images])
+        if metric != "SSIM":
+            raise InvalidArgumentError(f"unknown metric {metric!r}")
+        mu_b, var_b = self._mu, self._var
+        out = np.empty(images.shape[0])
+        for start in range(0, out.size, _SSIM_BLOCK):
+            pa = images[start : start + _SSIM_BLOCK] / top
+            mu_a, sq_a, prod = _window_sums(pa, self._pixels)
+            mu_a_sq = mu_a**2
+            num = (2.0 * mu_a * mu_b + _C1) * (2.0 * (prod - mu_a * mu_b) + _C2)
+            den = (mu_a_sq + mu_b**2 + _C1) * (sq_a - mu_a_sq + var_b + _C2)
+            out[start : start + _SSIM_BLOCK] = -(num / den).reshape(pa.shape[0], -1).mean(axis=1)
+        return out
 
 
 @dataclass(frozen=True)

@@ -235,16 +235,16 @@ class PowerTable:
     master_seed: int | None = None
 
     def __post_init__(self) -> None:
+        if len(set(self.methods)) != len(self.methods):
+            raise InvalidArgumentError("methods must not repeat")
         if tuple(sorted(self.fractions)) != _CASE_IDS:
             raise InvalidArgumentError("table must cover exactly cases 1..15")
-        for case_id, row in self.fractions.items():
+        rows = [(f"case {case_id}", row) for case_id, row in self.fractions.items()]
+        for where, row in [*rows, ("mean", self.mean_row)]:
             if set(row) != set(self.methods):
-                raise InvalidArgumentError(f"case {case_id} row methods mismatch")
-            for value in row.values():
-                if not 0.0 <= value <= 1.0:
-                    raise InvalidArgumentError("fractions must lie in [0, 1]")
-        if set(self.mean_row) != set(self.methods):
-            raise InvalidArgumentError("mean row methods mismatch")
+                raise InvalidArgumentError(f"{where} row methods mismatch")
+            if not all(0.0 <= value <= 1.0 for value in row.values()):
+                raise InvalidArgumentError(f"{where} row fractions must lie in [0, 1]")
 
 
 def run_power_study(cfg: RunConfig, bank: MethodBank | None = None) -> PowerTable:
@@ -262,8 +262,8 @@ def run_power_study(cfg: RunConfig, bank: MethodBank | None = None) -> PowerTabl
     scheme = SeedScheme(cfg.master_seed)
     counts = {case_id: {name: 0 for name in cfg.methods} for case_id in _CASE_IDS}
     for case_id in _CASE_IDS:
-        for _, chunk in _chunks(case_spec(case_id), cfg.reps, cfg.n, scheme, "test"):
-            statistics = bank.statistic_rows(np.stack([x.values for x in chunk]))
+        for _, block in _chunks(case_spec(case_id), cfg.reps, cfg.n, scheme, "test"):
+            statistics = bank.statistic_rows(block)
             for name, values in statistics.items():
                 counts[case_id][name] += int(np.count_nonzero(values > bank.cutoff(name)))
     fractions = {
@@ -349,6 +349,7 @@ def parse_table(text: str) -> PowerTable:
         mean_row = dict(zip(methods, (float(v) for v in mean[2:])))
     except ValueError:
         raise FormatError("power table: malformed numbers in mean row") from None
-    return PowerTable(
-        methods=methods, labels=labels, fractions=fractions, mean_row=mean_row
-    )
+    try:
+        return PowerTable(methods=methods, labels=labels, fractions=fractions, mean_row=mean_row)
+    except InvalidArgumentError as exc:
+        raise FormatError(f"power table: {exc}") from None

@@ -5,9 +5,9 @@ against normal quantiles at conventional plotting positions
 (horizontal axis). Rasters are 128x128 grayscale with exactly three
 intensities: 0.0 background, 0.5 anchor line y=x, 1.0 data points.
 
-One kernel, ``_render_rows``, renders a (rows, n) block, by default
-as uint8 levels 0, 1 and 2: twice the intensities, so a level image
-halves to its raster exactly; ``rasterize`` is its one-row call. The
+One kernel, ``_render_rows``, renders a (rows, n) block as uint8
+levels 0, 1 and 2: twice the intensities, so a level image halves to
+its raster exactly; ``rasterize`` is its one-row call. The
 anchor line is drawn once into a read-only canvas that the kernel
 copies per row. One index write then paints, for every point of every
 row at once, those of each point's 4x4 candidate pixels that lie on
@@ -43,13 +43,11 @@ _POINT_RADIUS = 1.5
 # intensity is its level / _POINT_LEVEL.
 _POINT_LEVEL = 2
 
-# The anchor line: pixel (last - i, i), bottom-left to top-right corner,
-# as levels and as pixels.
+# The anchor line as levels: pixel (last - i, i), bottom-left to
+# top-right corner.
 _LEVELS = np.zeros((RASTER_SIZE, RASTER_SIZE), dtype=np.uint8)
 _LEVELS[np.arange(RASTER_SIZE)[::-1], np.arange(RASTER_SIZE)] = 1
 _LEVELS.flags.writeable = False
-_PIXELS = _LEVELS / _POINT_LEVEL
-_PIXELS.flags.writeable = False
 # A pixel within 1.5 px of a center c lies at floor(c) + k with
 # k - frac(c) in [-1.5, 1.5], so k is in -1..2 along each axis.
 _OFFSETS = np.arange(-1, 3)
@@ -136,24 +134,21 @@ def rasterize(points: QQPoints) -> QQRaster:
     empirical values increase upward. Each point paints every pixel
     whose center lies within 1.5 px of its mapped location.
     """
-    pixels, lo, hi = _render_rows(points.empirical[np.newaxis], points.theoretical, _PIXELS, 1.0)
-    return QQRaster(pixels[0], (lo[0, 0], hi[0, 0]))
+    levels, lo, hi = _render_rows(points.empirical[np.newaxis], points.theoretical)
+    return QQRaster(levels[0] / _POINT_LEVEL, (lo[0, 0], hi[0, 0]))
 
 
 def _render_rows(
-    empirical: np.ndarray,
-    theoretical: np.ndarray | None = None,
-    canvas: np.ndarray = _LEVELS,
-    point=_POINT_LEVEL,
+    empirical: np.ndarray, theoretical: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``rasterize`` of each row of an ascending (rows, n) empirical block.
 
     Every row shares the theoretical vector, by default the normal
     scores, so sorted z-score rows render as their ``qq_points``.
-    Returns the (rows, 128, 128) images, copies of canvas with point
-    painted where ``rasterize`` paints 1.0, and each row's lo and hi as
-    (rows, 1) arrays. Each step is elementwise, so a row's image does
-    not depend on the other rows.
+    Returns the (rows, 128, 128) level images, each the anchor line
+    with _POINT_LEVEL painted where ``rasterize`` paints 1.0, and each
+    row's lo and hi as (rows, 1) arrays. Each step is elementwise, so
+    a row's image does not depend on the other rows.
     """
     rows, n = empirical.shape
     if n < 3:
@@ -184,9 +179,9 @@ def _render_rows(
     image_start = np.arange(0, rows * RASTER_SIZE * RASTER_SIZE, RASTER_SIZE * RASTER_SIZE)
     row_index = index[0] * RASTER_SIZE + image_start[:, None, None]
     flat = row_index[..., :, None] + index[1][..., None, :]
-    images = np.empty((rows, RASTER_SIZE, RASTER_SIZE), dtype=canvas.dtype)
-    images[:] = canvas
-    images.reshape(-1)[flat[ok]] = point
+    images = np.empty((rows, RASTER_SIZE, RASTER_SIZE), dtype=np.uint8)
+    images[:] = _LEVELS
+    images.reshape(-1)[flat[ok]] = _POINT_LEVEL
     return images, lo, hi
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,19 +297,6 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> Sample:
     rng = np.random.Generator(np.random.PCG64(seed))
     values = _LAWS[spec.kind][3](rng, spec.params, n)
     return Sample(values, spec=spec, seed=seed)
-
-
-def replicates(
-    spec: DistributionSpec, n: int, scheme: SeedScheme, purpose: str, indices: Iterable[int]
-) -> Iterator[Sample]:
-    """Draw replicate r of spec for each r in indices, yielding one at a time.
-
-    Replicate r comes from ``scheme.stream(case, r, purpose)``, where case
-    is spec's benchmark row id, or 0 for a law off the table.
-    """
-    case_id = benchmark_case_id(spec.kind, spec.params) or 0
-    for r in indices:
-        yield sample(spec, n, scheme.stream(case_id, r, purpose))
 
 
 def _array(x, what: str, dtype: type = float, ndim: int = 1) -> np.ndarray:

@@ -17,7 +17,7 @@ from dnt import RunConfig, TrainConfig, run_power_study
 from dnt.classical import STATISTIC_NAMES
 from dnt.lmnn import LmnnConfig
 from dnt.power import METHOD_NAMES, MethodBank, build_methods
-from dnt.sampling import SeedScheme, case_spec, replicates
+from dnt.sampling import SeedScheme, case_spec, sample
 
 MASTER_SEED = 0
 NULL_CASE = 15
@@ -72,10 +72,9 @@ def null_rates(full_run_config, full_bank):
     start = time.perf_counter()
     reps = 2000
     counts = {name: 0 for name in bank.methods}
-    null_draws = replicates(
-        case_spec(NULL_CASE), full_run_config.n, SeedScheme(MASTER_SEED), "test", range(reps)
-    )
-    for x in null_draws:
+    scheme, spec = SeedScheme(MASTER_SEED), case_spec(NULL_CASE)
+    for r in range(reps):
+        x = sample(spec, full_run_config.n, scheme.stream(NULL_CASE, r, "test"))
         for name, rejected in bank.decide(x).items():
             counts[name] += rejected
     rates = {name: counts[name] / reps for name in bank.methods}

@@ -54,7 +54,6 @@ from dnt.engine import (
     extract_features,
 )
 from dnt.features import EXTRACTOR_IDS
-from dnt.sampling import replicates
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -466,10 +465,12 @@ class TestCalibrateCutoff:
         assert tiny == calibrate_cutoff(ks_statistic, 30, 100, alpha=0.995, seed=1)
         assert tiny < calibrate_cutoff(ks_statistic, 30, 100, alpha=0.5, seed=1)
 
-    @pytest.mark.parametrize("n, reps", [(30, 150.5), (30.0, 150)], ids=["reps", "n"])
+    @pytest.mark.parametrize(
+        "n, reps", [(30, 150.5), (30.0, 150), (30, True)], ids=["reps", "n", "reps-bool"]
+    )
     def test_rejects_non_integer_sizes(self, n, reps):
-        """A float size is refused, not truncated or left to numpy's TypeError."""
-        with pytest.raises(InvalidArgumentError, match="must be integers"):
+        """A float or bool size is refused, not truncated or left to numpy's TypeError."""
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
             calibrate_cutoff(ks_statistic, n, reps, 0.05, seed=0)
 
     def test_reproducible_for_a_real_statistic(self):
@@ -489,9 +490,9 @@ class TestCalibrateCutoff:
         with pytest.raises(InvalidArgumentError):
             calibrate_cutoff(ks_statistic, 30, 99, 0.05, seed=0)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, "0.05", None, math.nan])
     def test_rejects_degenerate_alpha(self, alpha):
-        """Alpha on the boundary has no order statistic to pick."""
+        """Alpha on the boundary has no order statistic to pick; a non-number is refused too."""
         with pytest.raises(InvalidArgumentError):
             calibrate_cutoff(ks_statistic, 30, 200, alpha, seed=0)
 
@@ -526,8 +527,8 @@ class TestFeatureBlock:
         scheme, spec = SeedScheme(6), case_spec(2)
         block = _feature_block(spec, count, n, scheme, "train-h1", extractor)
         expected = np.stack([
-            extract_features(x, extractor).values
-            for x in replicates(spec, n, scheme, "train-h1", range(count))
+            extract_features(sample(spec, n, scheme.stream(2, r, "train-h1")), extractor).values
+            for r in range(count)
         ])
         assert block.tobytes() == expected.tobytes()
 
@@ -538,6 +539,31 @@ class TestFeatureBlock:
         sizes = [len(chunk) for _, chunk in chunks]
         assert sizes[0] == rows and max(sizes) == rows and sum(sizes) == 300
         assert [start for start, _ in chunks] == list(range(0, 300, rows))
+
+
+class TestChunks:
+    """The one loop that draws replicates by the stream rule, a (rows, n) block at a time."""
+
+    @pytest.mark.parametrize(
+        "spec, stream_case",
+        [
+            (case_spec(7), 7),
+            (DistributionSpec("Laplace", (0.0, 1.0)), 7),
+            (DistributionSpec("Normal", (2.0, 3.0)), 0),
+        ],
+        ids=["table-spec", "table-law-without-case-id", "off-table"],
+    )
+    def test_rows_are_the_stream_draws(self, spec, stream_case: int) -> None:
+        """Row r of the blocks is sample(spec, n, scheme.stream(case, r, purpose)), byte for byte."""
+        scheme = SeedScheme(11)
+        chunks = list(_chunks(spec, 300, 12, scheme, "test"))
+        assert [start for start, _ in chunks] == [0, _CHUNK_ROWS, 2 * _CHUNK_ROWS]
+        block = np.concatenate([chunk for _, chunk in chunks])
+        assert block.shape == (300, 12) and block.dtype == np.float64
+        expected = np.stack(
+            [sample(spec, 12, scheme.stream(stream_case, r, "test")).values for r in range(300)]
+        )
+        assert block.tobytes() == expected.tobytes()
 
 
 class TestModelDigests:

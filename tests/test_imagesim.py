@@ -29,7 +29,7 @@ from dnt.imagesim import (
     ssim,
 )
 from dnt.qq import (
-    _PIXELS,
+    _LEVELS,
     _POINT_LEVEL,
     RASTER_SIZE,
     QQRaster,
@@ -99,25 +99,22 @@ class TestSimilarityReference:
     """Cached-reference fast path."""
 
     def test_matches_direct_metrics(self) -> None:
-        """Reference methods equal the two-argument metric calls."""
+        """The statistic is the negated two-argument metric call, bit for bit."""
         reference = SimilarityReference.ideal(80)
         candidate = rasterize(qq_points(sample(case_spec(7), 80, 21)))
-        assert reference.ssim_against(candidate) == pytest.approx(
-            ssim(candidate, reference.raster).value, abs=1e-12
-        )
-        assert reference.psnr_against(candidate) == pytest.approx(
-            psnr(candidate, reference.raster).value, abs=1e-12
-        )
+        for metric, score in (("SSIM", ssim), ("PSNR", psnr)):
+            want = -score(candidate, reference.raster).value
+            assert np.float64(reference.statistic(candidate, metric)).tobytes() == (
+                np.float64(want).tobytes()
+            )
 
     def test_statistic_is_negated_similarity(self) -> None:
         reference = SimilarityReference.ideal(50)
         candidate = rasterize(qq_points(sample(case_spec(5), 50, 22)))
-        assert reference.statistic(candidate, "SSIM") == pytest.approx(
-            -reference.ssim_against(candidate), abs=1e-15
-        )
-        assert reference.statistic(candidate, "PSNR") == pytest.approx(
-            -reference.psnr_against(candidate), abs=1e-15
-        )
+        want_ssim = oracles.frozen_ssim(candidate.pixels, reference.raster.pixels)
+        want_psnr = oracles.oracle_psnr(candidate.pixels.tolist(), reference.raster.pixels.tolist())
+        assert reference.statistic(candidate, "SSIM") == -want_ssim
+        assert reference.statistic(candidate, "PSNR") == pytest.approx(-want_psnr, abs=1e-12)
 
     def test_statistic_rejects_unknown_metric(self) -> None:
         reference = SimilarityReference.ideal(30)
@@ -187,7 +184,7 @@ def _frozen_statistics(reference: SimilarityReference, images) -> np.ndarray:
 
 def _edge_raster() -> QQRaster:
     """The anchor line plus points on rows and columns 0 and 127, corners included."""
-    pixels = _PIXELS.copy()
+    pixels = _LEVELS / _POINT_LEVEL
     last = RASTER_SIZE - 1
     corners = [(0, 0), (0, last), (last, 0), (last, last)]
     for r, c in corners + [(0, 40), (90, 0), (last, 70), (20, last)]:
@@ -238,9 +235,17 @@ class TestSparseFilter:
         candidate = _random_raster(seed)
         other = SimilarityReference(_random_raster(seed + 100))
         for reference in (SimilarityReference.ideal(100), other):
-            got = reference.ssim_against(candidate)
-            want = oracles.frozen_ssim(candidate.pixels, reference.raster.pixels)
+            got = reference.statistic(candidate, "SSIM")
+            want = -oracles.frozen_ssim(candidate.pixels, reference.raster.pixels)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("seed", range(20, 24))
+    def test_public_ssim_matches_in_both_orders(self, seed) -> None:
+        """ssim(a, b) is the dense filter's value with b as reference, bit for bit."""
+        a, b = _random_raster(seed), _random_raster(seed + 100)
+        for x, y in ((a, b), (b, a)):
+            want = oracles.frozen_ssim(x.pixels, y.pixels)
+            assert np.float64(ssim(x, y).value).tobytes() == np.float64(want).tobytes()
 
     def test_reference_window_statistics_match(self) -> None:
         pixels = _random_raster(30).pixels
@@ -279,8 +284,6 @@ class TestArgumentChecks:
             lambda r, x: similarity_test_statistic(sample(case_spec(15), 50, 1), reference=x),
             lambda r, x: SimilarityReference(r).statistic(x, "SSIM"),
             lambda r, x: SimilarityReference(r).statistic(x, "PSNR"),
-            lambda r, x: SimilarityReference(r).ssim_against(x),
-            lambda r, x: SimilarityReference(r).psnr_against(x),
         ],
         ids=[
             "reference",
@@ -291,8 +294,6 @@ class TestArgumentChecks:
             "test-statistic-reference",
             "statistic-ssim",
             "statistic-psnr",
-            "ssim-against",
-            "psnr-against",
         ],
     )
     def test_rejects_a_non_raster(self, call) -> None:

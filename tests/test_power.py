@@ -23,6 +23,7 @@ from dnt import (
     ModelMismatchError,
     PowerTable,
     RunConfig,
+    Sample,
     TrainConfig,
     calibrate_cutoff,
     case_spec,
@@ -75,8 +76,8 @@ def small_bank() -> MethodBank:
     return build_methods(SMALL_CFG)
 
 
-def case_chunks(case_id: int) -> list[list]:
-    """The study's chunks of test samples for one case of SMALL_CFG."""
+def case_chunks(case_id: int) -> list[np.ndarray]:
+    """The study's (rows, n) blocks of test samples for one case of SMALL_CFG."""
     scheme = SeedScheme(SMALL_CFG.master_seed)
     spec = case_spec(case_id)
     return [chunk for _, chunk in _chunks(spec, SMALL_CFG.reps, SMALL_CFG.n, scheme, "test")]
@@ -205,6 +206,20 @@ class TestPowerTable:
         with pytest.raises(InvalidArgumentError):
             minimal_table(value)
 
+    @pytest.mark.parametrize("value", [-0.01, 1.01, float("nan")])
+    def test_rejects_a_mean_outside_the_unit_interval(self, value):
+        """The mean row is checked as the case rows are."""
+        table = minimal_table()
+        with pytest.raises(InvalidArgumentError, match="mean row"):
+            PowerTable(table.methods, table.labels, table.fractions, mean_row={"KS": value})
+
+    def test_rejects_repeated_methods(self):
+        """A method named twice would have one column overwrite the other."""
+        table = minimal_table()
+        fractions = {case_id: {"KS": 0.1} for case_id in table.fractions}
+        with pytest.raises(InvalidArgumentError, match="must not repeat"):
+            PowerTable(("KS", "KS"), table.labels, fractions, mean_row={"KS": 0.1})
+
     def test_rejects_mean_row_mismatch(self):
         """The mean row must score exactly the declared methods."""
         table = minimal_table()
@@ -290,8 +305,8 @@ class TestBlockScoring:
         """Bytes of every method's statistics over a 128-row chunk and the 2-row rest."""
         chunks = case_chunks(case_id)
         assert [len(chunk) for chunk in chunks] == [128, 2]
-        blocks = [small_bank.statistic_rows(np.stack([x.values for x in c])) for c in chunks]
-        samples = [x for chunk in chunks for x in chunk]
+        blocks = [small_bank.statistic_rows(chunk) for chunk in chunks]
+        samples = [Sample(x) for chunk in chunks for x in chunk]
         verdicts = [small_bank.decide(x) for x in samples]
         for name in METHOD_NAMES:
             got = np.concatenate([block[name] for block in blocks])
@@ -304,7 +319,7 @@ class TestBlockScoring:
         """features[:, mask] is F-ordered; each row must still give dnt_test's bits."""
         model = small_bank.models[name]
         chunk = case_chunks(1)[0]
-        z = _z_scores(np.stack([x.values for x in chunk]), ascending=True)
+        z = _z_scores(chunk, ascending=True)
         features = z if name == "DNT-raw" else _image_grid_rows(_render_rows(z)[0])
         assert not features[:, model.selection.mask].flags.c_contiguous
         want = np.array([dnt_test(x, model).statistic for x in chunk])
@@ -317,7 +332,7 @@ class TestBlockScoring:
         bank = MethodBank(
             methods, small_bank.n, small_bank.cutoffs, small_bank.models, small_bank.reference
         )
-        block = np.stack([x.values for x in case_chunks(15)[1]] * 3)
+        block = np.concatenate([case_chunks(15)[1]] * 3)
         block[3] = 2.5
         with pytest.raises(DntError) as one:
             bank.decide(block[3])
@@ -410,6 +425,30 @@ class TestEmitAndParse:
         text = emit_table(ks_table).replace("0.", "x.", 1)
         with pytest.raises(FormatError):
             parse_table(text)
+
+    def test_parse_rejects_a_repeated_method(self, ks_table):
+        """case,label,KS,KS used to parse, the last column winning, and emit both columns."""
+        lines = emit_table(ks_table).splitlines()
+        doubled = [line + line[line.rindex(",") :] for line in lines]
+        assert doubled[0] == "case,label,KS,KS"
+        with pytest.raises(FormatError, match="must not repeat"):
+            parse_table("\n".join(doubled) + "\n")
+
+    @pytest.mark.parametrize("mean", ["nan", "7"])
+    def test_parse_rejects_a_mean_outside_the_unit_interval(self, ks_table, mean):
+        lines = emit_table(ks_table).splitlines()
+        assert lines[-1].startswith("mean,,")
+        lines[-1] = f"mean,,{mean}"
+        with pytest.raises(FormatError, match="mean row"):
+            parse_table("\n".join(lines) + "\n")
+
+    def test_parse_rejects_a_case_cell_outside_the_unit_interval(self, ks_table):
+        """An out-of-range cell is a format error, not an InvalidArgumentError."""
+        lines = emit_table(ks_table).splitlines()
+        case, label, _ = lines[3].split(",")
+        lines[3] = f"{case},{label},1.5"
+        with pytest.raises(FormatError, match="case 3 row"):
+            parse_table("\n".join(lines) + "\n")
 
     def test_parse_rejects_missing_mean_row(self, ks_table):
         """The last row must be the mean row."""

@@ -34,7 +34,6 @@ from dnt.sampling import (
     benchmark_cases,
     case_spec,
     parse_distribution_label,
-    replicates,
     sample,
     sample_moments,
     standardize,
@@ -324,40 +323,6 @@ class TestStandardizeAndMoments:
         values = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
         _, _, skew, _ = sample_moments(values)
         assert skew == pytest.approx(0.0, abs=1e-14)
-
-
-class TestReplicates:
-    """The one loop that draws replicates by the stream rule."""
-
-    @pytest.mark.parametrize(
-        "spec, stream_case",
-        [
-            (case_spec(7), 7),
-            (DistributionSpec("Laplace", (0.0, 1.0)), 7),
-            (DistributionSpec("Normal", (2.0, 3.0)), 0),
-        ],
-        ids=["table-spec", "table-law-without-case-id", "off-table"],
-    )
-    def test_yields_exactly_the_stream_draws(self, spec, stream_case: int) -> None:
-        """Replicate r is sample(spec, n, scheme.stream(case, r, purpose))."""
-        scheme = SeedScheme(11)
-        indices = [4, 0, 9, 2]
-        drawn = list(replicates(spec, 12, scheme, "test", indices))
-        assert len(drawn) == len(indices)
-        for r, x in zip(indices, drawn):
-            expected = sample(spec, 12, scheme.stream(stream_case, r, "test"))
-            assert x.values.tobytes() == expected.values.tobytes()
-            assert (x.spec, x.seed) == (spec, expected.seed)
-
-    def test_draws_one_at_a_time(self) -> None:
-        """A replicate is drawn only when it is asked for."""
-
-        def indices():
-            yield 3
-            raise AssertionError("replicate 2 was asked for before replicate 1 was used")
-
-        draws = replicates(case_spec(15), 10, SeedScheme(0), "test", indices())
-        assert next(draws).seed == SeedScheme(0).stream(15, 3, "test")
 
 
 class TestSharedZScores:
