@@ -223,14 +223,14 @@ def _chunks(spec: DistributionSpec, count: int, n: int, scheme: SeedScheme, purp
     """Replicates 0..count-1 of spec in consecutive chunks: (first index, (rows, n) block).
 
     Replicate r is ``sample(spec, n, scheme.stream(case, r, purpose))``,
-    where case is spec's benchmark row id, or 0 for a law off the table.
+    where case is spec's benchmark row id, or 0 for a law off the table;
+    a chunk derives and draws all its rows in one call of each.
     """
     case = benchmark_case_id(spec.kind, spec.params) or 0
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // max(n, 3)))
     for start in range(0, count, rows):
-        indices = range(start, min(start + rows, count))
-        draws = [sample(spec, n, scheme.stream(case, r, purpose)).values for r in indices]
-        yield start, np.stack(draws)
+        seeds = scheme.stream(case, np.arange(start, min(start + rows, count)), purpose)
+        yield start, sample(spec, n, seeds)
 
 
 def _feature_rows(samples: np.ndarray, extractor_id: str) -> np.ndarray:

@@ -239,6 +239,14 @@ class PowerTable:
             raise InvalidArgumentError("methods must not repeat")
         if tuple(sorted(self.fractions)) != _CASE_IDS:
             raise InvalidArgumentError("table must cover exactly cases 1..15")
+        if len(self.labels) != len(_CASE_IDS):
+            raise InvalidArgumentError("labels must cover exactly cases 1..15")
+        for case_id in _CASE_IDS:
+            label = case_spec(case_id).label
+            if self.labels.get(case_id) != label:
+                raise InvalidArgumentError(
+                    f"case {case_id} label must be {label!r}, got {self.labels.get(case_id)!r}"
+                )
         rows = [(f"case {case_id}", row) for case_id, row in self.fractions.items()]
         for where, row in [*rows, ("mean", self.mean_row)]:
             if set(row) != set(self.methods):
@@ -318,7 +326,12 @@ def emit_table(table: PowerTable, format: str = "csv") -> str:
 
 
 def parse_table(text: str) -> PowerTable:
-    """Read back an emitted CSV table; the mean row is kept as written."""
+    """Read back an emitted CSV table; the mean row is kept as written.
+
+    A case row must give its case id and label exactly as ``emit_table``
+    writes them: a cell such as ``015`` or a label other than the case's
+    is refused, not rewritten.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0][:2] != ["case", "label"]:
         raise FormatError("power table: missing 'case,label,...' header")
@@ -340,10 +353,12 @@ def parse_table(text: str) -> PowerTable:
             values = [float(v) for v in row[2:]]
         except ValueError:
             raise FormatError(f"power table: malformed numbers in case row {row[0]!r}") from None
+        if row[0] != str(case_id):
+            raise FormatError(f"power table: case cell {row[0]!r} is not written as a case id")
         labels[case_id] = row[1]
         fractions[case_id] = dict(zip(methods, values))
     mean = body[-1]
-    if mean[0] != "mean" or len(mean) != 2 + len(methods):
+    if mean[:2] != ["mean", ""] or len(mean) != 2 + len(methods):
         raise FormatError("power table: last row must be the mean row")
     try:
         mean_row = dict(zip(methods, (float(v) for v in mean[2:])))

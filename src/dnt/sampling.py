@@ -11,6 +11,22 @@ an input, ``_frozen`` stores a read-only copy of it. Its scalar
 counterpart serves every config and seed: ``_integer`` refuses a float
 or bool where an integer belongs, ``_finite`` a NaN or infinity, and
 ``_seed`` a seed outside [0, 2**64).
+
+Monte-Carlo loops draw a block of replicates at a time: ``stream``
+takes an array of replicate indices, and ``sample`` an array of seeds,
+giving a (rows, n) block whose row i equals the one-seed draw
+``Generator(PCG64(seed[i]))`` bit for bit. The exactness argument: a
+one-seed draw is a pure function of the 128-bit PCG64 state and
+increment that the seed maps to, and the block path computes that map
+exactly, as numpy documents it and keeps it stable (NEP 19). The seed's
+32-bit words, low first, enter ``SeedSequence``'s four-word pool; the
+mixing, run here on all rows at once in wrapping ``uint32``, yields
+``generate_state(4, np.uint64)``, words (s_hi, s_lo, i_hi, i_lo). PCG64
+then seeds itself (O'Neill 2014, ``srandom_r``) with
+inc = 2i + 1 and state = ((inc + s) M + inc) mod 2**128, done here in
+Python ints. Setting that state on one reused ``PCG64``, with no
+buffered 32-bit word, leaves it where ``PCG64(seed)`` starts, so each
+law's draw consumes the same words, rejection samplers included.
 """
 
 from __future__ import annotations
@@ -274,29 +290,108 @@ class SeedScheme:
     def __post_init__(self) -> None:
         object.__setattr__(self, "master_seed", _seed(self.master_seed, "master_seed"))
 
-    def stream(self, case_id: int, replicate_idx: int, purpose_tag: str) -> int:
-        if case_id < 0 or replicate_idx < 0:
-            raise InvalidArgumentError("case_id and replicate_idx must be >= 0")
+    def stream(
+        self, case_id: int, replicate_idx: int | np.ndarray, purpose_tag: str
+    ) -> int | np.ndarray:
+        """The seed of one replicate; for a 1-D integer array of indices, a uint64 array of them.
+
+        Element i of the array form is the seed of ``int(replicate_idx[i])``:
+        splitmix64 runs unchanged on ``uint64``, whose products wrap mod
+        2**64 as the masks do on Python ints.
+        """
+        if isinstance(replicate_idx, np.ndarray):
+            if replicate_idx.dtype.kind not in "iu" or replicate_idx.ndim != 1:
+                raise InvalidArgumentError("replicate indices must be a 1-D integer array")
+            if (replicate_idx < 0).any():
+                raise InvalidArgumentError("replicate indices must be >= 0")
+            replicate_idx = replicate_idx.astype(np.uint64)
+        else:
+            replicate_idx = _seed(replicate_idx, "replicate_idx")
         h = self.master_seed
-        for word in (case_id, replicate_idx, _fnv1a64(purpose_tag)):
-            h = _splitmix64(h ^ (word & _MASK64))
+        for word in (_seed(case_id, "case_id"), replicate_idx, _fnv1a64(purpose_tag)):
+            h = _splitmix64(h ^ word)
         return h
 
     def generator(self, case_id: int, replicate_idx: int, purpose_tag: str) -> np.random.Generator:
+        """The Generator of one replicate; an index array is refused, not hashed as one seed."""
+        replicate_idx = _seed(replicate_idx, "replicate_idx")
         return np.random.Generator(
             np.random.PCG64(self.stream(case_id, replicate_idx, purpose_tag))
         )
 
 
-def sample(spec: DistributionSpec, n: int, seed: int) -> Sample:
-    """Draw n i.i.d. values from spec's law, deterministic in seed (0 <= seed < 2**64)."""
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_steps(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """The hash constant before and after each of count steps; it never depends on the data."""
+    h = [init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(count + 1)]
+    return [(np.uint32(a), np.uint32(b)) for a, b in zip(h, h[1:])]
+
+
+# A four-word pool hashes 4 entropy words, then 12 more while mixing;
+# generate_state(4, np.uint64) hashes 8 output words.
+_POOL_STEPS = _hash_steps(_INIT_A, _MULT_A, 16)
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)
+
+
+def _hash(value: np.ndarray, step: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    value = (value ^ step[0]) * step[1]
+    return value ^ (value >> np.uint32(16))
+
+
+def _seed_states(seeds: np.ndarray) -> list[list[int]]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each seed, as Python ints.
+
+    A seed's entropy is one 32-bit word below 2**32 and two above; the
+    pool pads it with zero words, so every seed hashes as (low, high, 0, 0).
+    """
+    steps = iter(_POOL_STEPS)
+    zero = np.zeros(seeds.size, np.uint32)
+    words = (seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero)
+    pool = [_hash(word, next(steps)) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hash(pool[src], next(steps))
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = [_hash(pool[k % 4], step).astype(np.uint64) for k, step in enumerate(_STATE_STEPS)]
+    # Each 64-bit word is two 32-bit words, low first.
+    return np.stack([out[k] | out[k + 1] << np.uint64(32) for k in range(0, 8, 2)], 1).tolist()
+
+
+def sample(spec: DistributionSpec, n: int, seed: int | np.ndarray) -> Sample | np.ndarray:
+    """Draw n i.i.d. values from spec's law, deterministic in seed (0 <= seed < 2**64).
+
+    For a 1-D uint64 array of seeds the result is a (len(seed), n) float
+    array whose row i is ``sample(spec, n, int(seed[i])).values``, bit for
+    bit (the module docstring gives the argument).
+    """
     n = _integer(n, "sample size")
     if n < 3:
         raise InsufficientDataError("sample size must be at least 3")
-    seed = _seed(seed, "seed")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    values = _LAWS[spec.kind][3](rng, spec.params, n)
-    return Sample(values, spec=spec, seed=seed)
+    draw = _LAWS[spec.kind][3]
+    if not isinstance(seed, np.ndarray):
+        seed = _seed(seed, "seed")
+        return Sample(draw(np.random.Generator(np.random.PCG64(seed)), spec.params, n), spec, seed)
+    if seed.dtype != np.uint64 or seed.ndim != 1:
+        raise InvalidArgumentError("a seed block must be a 1-D uint64 array")
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    block = np.empty((seed.size, n))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(block, _seed_states(seed)):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULTIPLIER + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        row[:] = draw(rng, spec.params, n)
+    return block
 
 
 def _array(x, what: str, dtype: type = float, ndim: int = 1) -> np.ndarray:

@@ -220,6 +220,16 @@ class TestPowerTable:
         with pytest.raises(InvalidArgumentError, match="must not repeat"):
             PowerTable(("KS", "KS"), table.labels, fractions, mean_row={"KS": 0.1})
 
+    def test_rejects_a_label_other_than_the_case_label(self):
+        """Each case row carries its benchmark label, as emit_table writes it."""
+        table = minimal_table()
+        for labels, message in [
+            ({**table.labels, 1: "Cauchy"}, "case 1 label must be 't\\(2\\)'"),
+            ({**table.labels, 16: "x"}, "labels must cover exactly"),
+        ]:
+            with pytest.raises(InvalidArgumentError, match=message):
+                PowerTable(table.methods, labels, table.fractions, table.mean_row)
+
     def test_rejects_mean_row_mismatch(self):
         """The mean row must score exactly the declared methods."""
         table = minimal_table()
@@ -450,10 +460,34 @@ class TestEmitAndParse:
         with pytest.raises(FormatError, match="case 3 row"):
             parse_table("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize(
+        "line, old, new, message",
+        [
+            (1, "1,t(2),", "1,Cauchy,", "case 1 label"),
+            (15, "15,", "1_5,", "case cell"),
+            (15, "15,", "015,", "case cell"),
+            (15, "15,", " 15,", "case cell"),
+        ],
+        ids=["Cauchy", "1_5", "015", "space-15"],
+    )
+    def test_parse_rejects_a_case_row_off_the_benchmark(self, ks_table, line, old, new, message):
+        """1,Cauchy,... used to parse as case 1, and 1_5 as case 15, emitted back as 15."""
+        lines = emit_table(ks_table).splitlines()
+        assert lines[line].startswith(old)
+        lines[line] = new + lines[line][len(old) :]
+        with pytest.raises(FormatError, match=message):
+            parse_table("\n".join(lines) + "\n")
+
     def test_parse_rejects_missing_mean_row(self, ks_table):
         """The last row must be the mean row."""
         text = emit_table(ks_table).replace("mean,", "avg,")
         with pytest.raises(FormatError):
+            parse_table(text)
+
+    def test_parse_rejects_a_labelled_mean_row(self, ks_table):
+        """mean,x,... used to parse and emit back as mean,,..."""
+        text = emit_table(ks_table).replace("mean,,", "mean,x,")
+        with pytest.raises(FormatError, match="last row must be the mean row"):
             parse_table(text)
 
 

@@ -3,7 +3,8 @@
 Tests cover:
 - DistributionSpec validation and the benchmark case table
 - label parsing
-- SeedScheme determinism and stream disjointness
+- SeedScheme determinism and stream disjointness, one index or an array
+- block draws over a seed array, bit for bit the one-seed draws
 - sampled draws following the right law (KS check against scipy CDFs)
 - standardize and sample_moments
 - the kind table, the replicate draws, and the one vector check
@@ -14,6 +15,8 @@ Tests cover:
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from dnt.features import FeatureVector, SelectionModel, extract_raw
 from dnt.lmnn import MetricMatrix, TripletSet
 from dnt.qq import RASTER_SIZE, QQPoints, QQRaster, qq_points
 from dnt.sampling import (
+    _LAWS,
     KINDS,
     DistributionSpec,
     Sample,
@@ -220,6 +224,56 @@ class TestSeedScheme:
         with pytest.raises(InvalidArgumentError, match="master_seed must be an integer"):
             SeedScheme(seed)
 
+    @pytest.mark.parametrize(
+        "case_id, replicate",
+        [(15, 2**64), (15 + 2**64, 3), (-1, 3), (15, -1)],
+        ids=["replicate-2**64", "case-15+2**64", "case-negative", "replicate-negative"],
+    )
+    def test_rejects_an_index_outside_64_unsigned_bits(self, case_id: int, replicate: int) -> None:
+        """stream(15, 2**64, p) used to equal stream(15, 0, p), and case 15 + 2**64 case 15."""
+        with pytest.raises(InvalidArgumentError, match="must fit in 64 unsigned bits"):
+            SeedScheme(0).stream(case_id, replicate, "test")
+
+    @pytest.mark.parametrize(
+        "case_id, replicate",
+        [(True, 3), (15, True), (15, 1.5), (15.0, 3), (15, "3")],
+        ids=["case-bool", "replicate-bool", "replicate-float", "case-float", "replicate-str"],
+    )
+    def test_rejects_a_non_integer_index(self, case_id, replicate) -> None:
+        """stream(True, 3, p) used to run as case 1, and a float index raised a bare TypeError."""
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            SeedScheme(0).stream(case_id, replicate, "test")
+
+    @pytest.mark.parametrize(
+        "indices",
+        [np.arange(4.0), np.ones(4, bool), np.array([0, 1, -1]), np.arange(4).reshape(2, 2)],
+        ids=["float", "bool", "negative", "2-D"],
+    )
+    def test_rejects_a_bad_index_array(self, indices: np.ndarray) -> None:
+        with pytest.raises(InvalidArgumentError, match="replicate indices must be"):
+            SeedScheme(0).stream(15, indices, "test")
+
+    @pytest.mark.parametrize(
+        "master, case_id, purpose",
+        [(0, 15, "calibrate"), (2**64 - 1, 0, "test"), (42, 7, "train-h0")],
+    )
+    def test_array_form_is_the_scalar_form(self, master: int, case_id: int, purpose: str) -> None:
+        """Element i of stream over an index array is stream of index i, on 20,000 indices."""
+        scheme = SeedScheme(master)
+        indices = np.arange(20_000)
+        seeds = scheme.stream(case_id, indices, purpose)
+        assert seeds.dtype == np.uint64 and seeds.shape == (20_000,)
+        assert seeds.tolist() == [scheme.stream(case_id, i, purpose) for i in range(20_000)]
+        top = np.array([2**64 - 1, 2**63], np.uint64)
+        assert scheme.stream(case_id, top, purpose).tolist() == [
+            scheme.stream(case_id, i, purpose) for i in top.tolist()
+        ]
+
+    def test_generator_refuses_an_index_array(self) -> None:
+        """PCG64 would take the array of seeds as the entropy of one generator."""
+        with pytest.raises(InvalidArgumentError, match="replicate_idx must be an integer"):
+            SeedScheme(0).generator(15, np.arange(3), "test")
+
     def test_generator_reproducible(self) -> None:
         """generator() re-yields the identical draw sequence."""
         scheme = SeedScheme(5)
@@ -291,6 +345,68 @@ class TestSample:
         x = sample(spec, 100_000, 2024)
         distance = scipy.stats.kstest(x.values, scipy_dist.cdf).statistic
         assert distance < 0.01, (spec.kind, distance)
+
+
+# Every law, each benchmark case plus laws that take another sampler branch:
+# Gamma with shape < 1, Beta with both parameters <= 1, StudentT with df < 1.
+BLOCK_SPECS = {
+    **{case_spec(case).label: case_spec(case) for case in range(1, 16)},
+    "Gamma(0.5,2)": DistributionSpec("Gamma", (0.5, 2.0)),
+    "Beta(0.5,0.5)": DistributionSpec("Beta", (0.5, 0.5)),
+    "StudentT(0.7)": DistributionSpec("StudentT", (0.7,)),
+}
+BLOCK_DIGEST = "763f1bb4559f4e209fe3d1de8fc5a5f617b88b8c44828857fb33afa6699ade82"
+EDGE_SEEDS = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], np.uint64)
+
+
+def _reference_draw(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
+    """n values of spec's law from numpy's own Generator(PCG64(seed))."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return _LAWS[spec.kind][3](rng, spec.params, n)
+
+
+class TestBlockDraws:
+    """sample over a seed array: row i is the one-seed draw of seed i, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 100, 500])
+    @pytest.mark.parametrize("label", sorted(BLOCK_SPECS))
+    def test_rows_are_the_one_seed_draws(self, label: str, n: int) -> None:
+        spec = BLOCK_SPECS[label]
+        seeds = np.concatenate([EDGE_SEEDS, SeedScheme(9).stream(0, np.arange(60), label)])
+        block = sample(spec, n, seeds)
+        assert block.shape == (seeds.size, n) and block.dtype == np.float64
+        expected = np.stack([_reference_draw(spec, n, seed) for seed in seeds.tolist()])
+        assert block.tobytes() == expected.tobytes()
+        assert block[-1].tobytes() == sample(spec, n, int(seeds[-1])).values.tobytes()
+
+    def test_kinds_are_all_covered(self) -> None:
+        assert {spec.kind for spec in BLOCK_SPECS.values()} == set(KINDS)
+
+    def test_blocks_are_pinned(self) -> None:
+        """SHA-256 over one block per law, pinned from one-seed draws: numpy drift shows here."""
+        seeds = SeedScheme(0).stream(0, np.arange(16), "pin")
+        digest = hashlib.sha256()
+        for case in (15, 1, 5, 6, 7, 11, 13):  # the first case of each law, in KINDS order
+            digest.update(sample(case_spec(case), 100, seeds).tobytes())
+        assert digest.hexdigest() == BLOCK_DIGEST
+
+    def test_empty_seed_block(self) -> None:
+        assert sample(case_spec(15), 5, np.array([], np.uint64)).shape == (0, 5)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            np.arange(4),
+            np.arange(4.0),
+            np.arange(4, dtype=np.uint32),
+            np.arange(4, dtype=np.uint64).reshape(2, 2),
+            np.array(4, np.uint64),
+        ],
+        ids=["int64", "float", "uint32", "2-D", "0-D"],
+    )
+    def test_rejects_a_bad_seed_block(self, seeds: np.ndarray) -> None:
+        with pytest.raises(InvalidArgumentError, match="1-D uint64 array"):
+            sample(case_spec(15), 5, seeds)
 
 
 class TestStandardizeAndMoments:
