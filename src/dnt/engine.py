@@ -6,7 +6,10 @@ features, learns a metric, and calibrates a rejection cutoff from the
 squared metric distances of the whole null pool to the kept-null
 centroid. Testing maps a new sample through the same pipeline and
 rejects when its squared distance exceeds the cutoff; its Monte-Carlo
-p-value counts the null distances at or above the statistic. Every
+p-value counts the null distances at or above the statistic. One
+kernel, ``_squared_distances``, computes that distance for training's
+null pool, ``dnt_test`` and the power study, so a null distance is
+the ``dnt_test`` statistic of its calibration sample, bit for bit. Every
 Monte-Carlo loop (training, ``calibrate_cutoff`` and the power study)
 draws its replicates through ``_chunks``, a (rows, n) block at a time.
 Models persist as canonical JSON: scalars are JSON numbers, and every
@@ -125,10 +128,9 @@ class TrainConfig:
             raise ConfigError(
                 f"extractor must be one of {', '.join(EXTRACTOR_IDS)}"
             )
-        feature_length = self.n if self.extractor == "RawOrder" else IMAGE_GRID_LENGTH
-        if not 1 <= self.d <= feature_length:
+        if not 1 <= self.d <= self.feature_length:
             raise ConfigError(
-                f"d must be in 1..{feature_length} for extractor {self.extractor}"
+                f"d must be in 1..{self.feature_length} for extractor {self.extractor}"
             )
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must be in (0, 1)")
@@ -143,6 +145,11 @@ class TrainConfig:
     def keep_count(self) -> int:
         return int(round(self.h0_keep_fraction * self.h0_pool))
 
+    @property
+    def feature_length(self) -> int:
+        """Length of the extractor's feature vector for samples of size n."""
+        return self.n if self.extractor == "RawOrder" else IMAGE_GRID_LENGTH
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -150,18 +157,17 @@ class TestReport:
 
     p_value is the Monte-Carlo p-value (1 + #{null >= statistic}) / (N + 1)
     over the model's N null distances (North, Curtis & Sham, AJHG 71:439,
-    2002); the verdict stays statistic > cutoff.
+    2002); the verdict is statistic > cutoff.
     """
 
     statistic: float
     cutoff: float
-    reject: bool
     alpha: float
     p_value: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.reject != (self.statistic > self.cutoff):
-            raise InvalidArgumentError("reject flag contradicts statistic vs cutoff")
+    @property
+    def reject(self) -> bool:
+        return self.statistic > self.cutoff
 
     def summary(self) -> str:
         verdict = "reject" if self.reject else "accept"
@@ -180,34 +186,45 @@ def _upper_quantile(ascending: np.ndarray, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class DNTModel:
-    """A trained tester: selection, metric, centroid, null calibration."""
+    """A trained tester: selection, metric, centroid, null calibration.
 
-    extractor_id: str
+    n, alpha and extractor_id read config; cutoff derives from null_distances.
+    """
+
     selection: SelectionModel
     metric: MetricMatrix
     centroid: np.ndarray
     null_distances: np.ndarray
-    cutoff: float
-    alpha: float
-    n: int
     config: TrainConfig
+    cutoff: float = field(init=False)
 
     def __post_init__(self) -> None:
         centroid = _frozen(self, "centroid", _array(self.centroid, "centroid"))
         null = _frozen(self, "null_distances", _array(self.null_distances, "null_distances"))
-        cfg = self.config  # validated, so the equality also checks the copies
-        if (self.extractor_id, self.n, self.alpha) != (cfg.extractor, cfg.n, cfg.alpha):
-            raise InvalidArgumentError("extractor_id, n and alpha disagree with config")
+        if self.selection.m != self.config.feature_length:
+            raise InvalidArgumentError(
+                f"selection scores {self.selection.m} features, but {self.extractor_id} "
+                f"makes {self.config.feature_length} at n={self.n}"
+            )
         if centroid.size != self.selection.d:
             raise InvalidArgumentError("centroid length must equal selection.d")
         if self.metric.dim != self.selection.d:
             raise InvalidArgumentError("metric dimension must equal selection.d")
         if null.size == 0 or np.any(np.diff(null) < 0):
             raise InvalidArgumentError("null_distances must be sorted ascending")
-        if self.cutoff != _upper_quantile(null, self.alpha):
-            raise InvalidArgumentError(
-                "cutoff is not the (1-alpha) order statistic of null_distances"
-            )
+        object.__setattr__(self, "cutoff", _upper_quantile(null, self.alpha))
+
+    @property
+    def n(self) -> int:
+        return self.config.n
+
+    @property
+    def alpha(self) -> float:
+        return self.config.alpha
+
+    @property
+    def extractor_id(self) -> str:
+        return self.config.extractor
 
 
 def extract_features(x: Sample | np.ndarray, extractor_id: str) -> FeatureVector:
@@ -242,16 +259,11 @@ def _feature_rows(samples: np.ndarray, extractor_id: str) -> np.ndarray:
 
 
 def _feature_block(
-    spec: DistributionSpec,
-    count: int,
-    n: int,
-    scheme: SeedScheme,
-    purpose: str,
-    extractor_id: str,
+    spec: DistributionSpec, count: int, cfg: TrainConfig, scheme: SeedScheme, purpose: str
 ) -> np.ndarray:
-    features = np.empty((count, n if extractor_id == "RawOrder" else IMAGE_GRID_LENGTH))
-    for start, block in _chunks(spec, count, n, scheme, purpose):
-        features[start : start + len(block)] = _feature_rows(block, extractor_id)
+    features = np.empty((count, cfg.feature_length))
+    for start, block in _chunks(spec, count, cfg.n, scheme, purpose):
+        features[start : start + len(block)] = _feature_rows(block, cfg.extractor)
     return features
 
 
@@ -262,8 +274,8 @@ def train(cfg: TrainConfig) -> DNTModel:
     scheme = SeedScheme(cfg.master_seed)
     null_spec = case_spec(_NULL_CASE)
 
-    h0 = _feature_block(null_spec, cfg.h0_pool, cfg.n, scheme, "train-h0", cfg.extractor)
-    h1 = _feature_block(cfg.h1_spec, cfg.h1_count, cfg.n, scheme, "train-h1", cfg.extractor)
+    h0 = _feature_block(null_spec, cfg.h0_pool, cfg, scheme, "train-h0")
+    h1 = _feature_block(cfg.h1_spec, cfg.h1_count, cfg, scheme, "train-h1")
 
     pool_centroid = h0.mean(axis=0)
     gaps = np.linalg.norm(h0 - pool_centroid, axis=1)
@@ -282,28 +294,11 @@ def train(cfg: TrainConfig) -> DNTModel:
 
     centroid = h0_kept_sel.mean(axis=0)
 
+    null = h0
     if cfg.fresh_null_count > 0:
-        null_sel = _feature_block(
-            null_spec, cfg.fresh_null_count, cfg.n, scheme, "calibrate", cfg.extractor
-        )[:, selection.mask]
-    else:
-        null_sel = h0[:, selection.mask]
-    deltas = null_sel - centroid
-    projected = deltas @ metric.factor()
-    null_distances = np.sort(np.einsum("ij,ij->i", projected, projected))
-    cutoff = _upper_quantile(null_distances, cfg.alpha)
-
-    return DNTModel(
-        extractor_id=cfg.extractor,
-        selection=selection,
-        metric=metric,
-        centroid=centroid,
-        null_distances=null_distances,
-        cutoff=cutoff,
-        alpha=cfg.alpha,
-        n=cfg.n,
-        config=cfg,
-    )
+        null = _feature_block(null_spec, cfg.fresh_null_count, cfg, scheme, "calibrate")
+    null_distances = np.sort(_squared_distances(null, selection.mask, centroid, metric.matrix))
+    return DNTModel(selection, metric, centroid, null_distances, cfg)
 
 
 def calibrate_cutoff(
@@ -322,7 +317,8 @@ def calibrate_cutoff(
     with a ``calibration_rows`` block form (each classical statistic,
     any ``functools.wraps`` wrapper of one, and
     ``power.null_statistic("SSIM", n)``) scores a whole block with one
-    call; any other callable is applied to each row as a ``Sample``.
+    call; any other callable is applied to each row as a ``Sample`` and
+    must return a finite real number or a TestStatistic.
     """
     n, reps = _integer(n, "n"), _integer(reps, "reps")
     _finite(alpha, "alpha")
@@ -335,27 +331,30 @@ def calibrate_cutoff(
     values = np.empty(reps)
     for start, block in _chunks(case_spec(_NULL_CASE), reps, n, scheme, "calibrate"):
         if kernel is None:
-            results = [statistic_fn(Sample(row)) for row in block]
-            values[start : start + len(block)] = [
-                r.calibration_value if isinstance(r, TestStatistic) else float(r) for r in results
-            ]
+            for r, row in enumerate(block, start):
+                value = statistic_fn(Sample(row))
+                if isinstance(value, TestStatistic):
+                    value = value.calibration_value
+                values[r] = _finite(value, "statistic value")
         else:
             values[start : start + len(block)] = kernel(block)
     values.sort()
     return _upper_quantile(values, alpha)
 
 
-def _squared_distances(features: np.ndarray, model: DNTModel) -> np.ndarray:
-    """The ``dnt_test`` statistic of each row of a (rows, m) feature block.
+def _squared_distances(
+    features: np.ndarray, mask: np.ndarray, centroid: np.ndarray, matrix: np.ndarray
+) -> np.ndarray:
+    """The one DNT distance, of each row of a (rows, m) feature block.
 
+    ``train``, ``dnt_test`` and ``MethodBank.statistic_rows`` all call it.
     The selected columns are copied to C order before the centroid is
     subtracted: ``features[:, mask]`` is F-ordered, and the dot product
     of a strided row can round differently from that of a contiguous
     one. Each row then takes the one-sample quadratic form, so a row's
     value does not depend on the rows beside it.
     """
-    deltas = np.ascontiguousarray(features[:, model.selection.mask]) - model.centroid
-    matrix = model.metric.matrix
+    deltas = np.ascontiguousarray(features[:, mask]) - centroid
     return np.array([max(delta @ matrix @ delta, 0.0) for delta in deltas])
 
 
@@ -366,19 +365,15 @@ def dnt_test(x: Sample | np.ndarray, model: DNTModel) -> TestReport:
         raise ModelMismatchError(
             f"model was trained for n={model.n}, got a sample of n={values.size}"
         )
-    features = extract_features(x, model.extractor_id)
-    if len(features) != model.selection.m:
-        raise ModelMismatchError(
-            f"extracted {len(features)} features but the model selects from "
-            f"{model.selection.m}"
-        )
-    statistic = float(_squared_distances(features.values[np.newaxis], model)[0])
+    features = extract_features(x, model.extractor_id).values[np.newaxis]
+    statistic = float(
+        _squared_distances(features, model.selection.mask, model.centroid, model.metric.matrix)[0]
+    )
     null = model.null_distances
     at_or_above = null.size - int(np.searchsorted(null, statistic, side="left"))
     return TestReport(
         statistic=statistic,
         cutoff=model.cutoff,
-        reject=statistic > model.cutoff,
         alpha=model.alpha,
         p_value=(1 + at_or_above) / (null.size + 1),
     )
@@ -584,6 +579,10 @@ def load_model(path: str) -> DNTModel:
     drift = _noncanonical_key(config_to_dict(config), raw_config, "model.config")
     if drift is not None:
         raise FormatError(f"{drift}: missing or not in canonical form")
+    stored = (root.get("extractor_id", str), root.get("n", int), root.get("alpha", float))
+    if stored != (config.extractor, config.n, config.alpha):
+        raise FormatError("model: extractor_id, n and alpha disagree with config")
+    cutoff = root.get("cutoff", float)
     selection_reader = _Reader(root.get("selection", dict), "model.selection")
     try:
         selection = SelectionModel(
@@ -595,16 +594,10 @@ def load_model(path: str) -> DNTModel:
             raise FormatError("model.metric: length is not a perfect square")
         metric = MetricMatrix(metric_flat.reshape(dim, dim))
         model = DNTModel(
-            extractor_id=root.get("extractor_id", str),
-            selection=selection,
-            metric=metric,
-            centroid=root.array("centroid"),
-            null_distances=root.array("null_distances"),
-            cutoff=root.get("cutoff", float),
-            alpha=root.get("alpha", float),
-            n=root.get("n", int),
-            config=config,
+            selection, metric, root.array("centroid"), root.array("null_distances"), config
         )
     except InvalidArgumentError as exc:
         raise FormatError(f"model: {exc}") from None
+    if cutoff != model.cutoff:
+        raise FormatError("model: cutoff is not the (1-alpha) order statistic of null_distances")
     return model

@@ -176,7 +176,8 @@ class MethodBank:
         for name in self.methods:
             if name in _EXTRACTORS:
                 features = z if name == "DNT-raw" else _image_grid_rows(levels)
-                out[name] = _squared_distances(features, self.models[name])
+                m = self.models[name]
+                out[name] = _squared_distances(features, m.selection.mask, m.centroid, m.metric.matrix)
             elif name in METRIC_NAMES:
                 out[name] = self.reference._level_statistics(levels, name)
             else:

@@ -239,11 +239,11 @@ def _integer(value, what: str, error: type[DntError] = InvalidArgumentError) -> 
     raise error(f"{what} must be an integer, got {value!r}")
 
 
-def _finite(value, what: str, error: type[DntError] = InvalidArgumentError) -> None:
-    """Refuse value unless it is a finite real number; a bool is not one."""
+def _finite(value, what: str, error: type[DntError] = InvalidArgumentError):
+    """value if it is a finite real number, else error; a bool, numpy's too, is not one."""
     try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return
+        if not isinstance(value, (bool, np.bool_)) and math.isfinite(value):
+            return value
     except TypeError:
         pass
     raise error(f"{what} must be a finite number, got {value!r}")

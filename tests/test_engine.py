@@ -260,22 +260,22 @@ class TestTrainConfig:
 class TestTestReport:
     """The per-sample verdict record."""
 
-    def test_reject_flag_must_match_the_comparison(self):
-        """A report whose flag contradicts statistic > cutoff is invalid."""
-        with pytest.raises(InvalidArgumentError):
+    def test_reject_is_the_comparison(self):
+        """The verdict is statistic > cutoff, derived, and not a constructor argument."""
+        assert not TestReport(statistic=1.0, cutoff=2.0, alpha=0.05).reject
+        assert TestReport(statistic=3.0, cutoff=2.0, alpha=0.05).reject
+        with pytest.raises(TypeError):
             TestReport(statistic=1.0, cutoff=2.0, reject=True, alpha=0.05)
-        with pytest.raises(InvalidArgumentError):
-            TestReport(statistic=3.0, cutoff=2.0, reject=False, alpha=0.05)
 
     def test_boundary_statistic_does_not_reject(self):
         """A statistic exactly at the cutoff is retained."""
-        report = TestReport(statistic=2.0, cutoff=2.0, reject=False, alpha=0.05)
+        report = TestReport(statistic=2.0, cutoff=2.0, alpha=0.05)
         assert not report.reject
 
     def test_summary_names_the_verdict(self):
         """The summary line states accept or reject with the numbers."""
-        kept = TestReport(statistic=1.0, cutoff=2.0, reject=False, alpha=0.05)
-        fired = TestReport(statistic=3.0, cutoff=2.0, reject=True, alpha=0.05)
+        kept = TestReport(statistic=1.0, cutoff=2.0, alpha=0.05)
+        fired = TestReport(statistic=3.0, cutoff=2.0, alpha=0.05)
         assert "accept" in kept.summary().lower()
         assert "reject" in fired.summary().lower()
         assert "0.05" in fired.summary()
@@ -376,7 +376,8 @@ class TestDntTest:
         ]
         for null in nulls:
             rank = math.ceil((1.0 - model.alpha) * null.size - 1e-9)
-            edited = dataclasses.replace(model, null_distances=null, cutoff=float(null[rank - 1]))
+            edited = dataclasses.replace(model, null_distances=null)
+            assert edited.cutoff == float(null[rank - 1])
             report = dnt_test(x, edited)
             assert report.statistic == stat
             at_or_above = 0
@@ -397,6 +398,41 @@ class TestDntTest:
             for r in range(40)
         ]
         assert np.median(skew_scores) > np.median(null_scores)
+
+
+class TestOneStatistic:
+    """A model's null distances are the dnt_test statistics of its calibration samples.
+
+    Each calibration sample is redrawn from its own stream and scored
+    by dnt_test; the sorted statistics must equal the stored null
+    distances byte for byte, so the sample at rank ceil((1-alpha)N) sits
+    exactly on the cutoff and is accepted. Both sides run the same
+    per-row products, so this holds at any BLAS thread count.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides, purpose, count",
+        [
+            ({}, "train-h0", 200),
+            ({"extractor": "ImageGrid"}, "train-h0", 200),
+            ({"fresh_null_count": 150}, "calibrate", 150),
+        ],
+        ids=["RawOrder", "ImageGrid", "fresh-null"],
+    )
+    def test_null_distances_are_dnt_test_statistics(self, overrides, purpose, count):
+        cfg = tiny_config(h0_pool=200, h0_keep_fraction=0.1, **overrides)
+        model = train(cfg)
+        scheme = SeedScheme(cfg.master_seed)
+        samples = [
+            sample(case_spec(15), cfg.n, scheme.stream(15, r, purpose)) for r in range(count)
+        ]
+        reports = [dnt_test(x, model) for x in samples]
+        statistics = np.array([report.statistic for report in reports])
+        assert np.sort(statistics).tobytes() == model.null_distances.tobytes()
+        rank = math.ceil((1.0 - cfg.alpha) * count - 1e-9)
+        at_cutoff = reports[int(np.argsort(statistics, kind="stable")[rank - 1])]
+        assert at_cutoff.statistic == model.cutoff
+        assert not at_cutoff.reject
 
 
 class TestCalibrateCutoff:
@@ -496,6 +532,37 @@ class TestCalibrateCutoff:
         with pytest.raises(InvalidArgumentError):
             calibrate_cutoff(ks_statistic, 30, 200, alpha, seed=0)
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            lambda x: math.nan,
+            lambda x: math.nan if x.values[0] > 0 else 1.0,
+            lambda x: math.inf,
+            lambda x: "1.5",
+            lambda x: True,
+            lambda x: np.True_,
+            lambda x: None,
+            lambda x: 1 + 2j,
+        ],
+        ids=["nan", "nan-on-half", "inf", "text", "bool", "numpy-bool", "none", "complex"],
+    )
+    def test_generic_values_must_be_finite_numbers(self, value):
+        """A NaN cutoff never rejects; text, bools and None are not statistic values."""
+        with pytest.raises(InvalidArgumentError, match="statistic value must be a finite number"):
+            calibrate_cutoff(value, 30, 100, 0.05, seed=0)
+
+    def test_generic_values_may_be_numpy_scalars_or_ints(self):
+        """Any finite real number is a value: the cutoff is the same as from plain floats."""
+        def first(x):
+            return float(x.values[0])
+
+        want = calibrate_cutoff(first, 30, 100, 0.05, seed=2)
+        assert calibrate_cutoff(lambda x: np.float32(first(x)), 30, 100, 0.05, seed=2) == (
+            float(np.float32(want))
+        )
+        assert calibrate_cutoff(lambda x: np.float64(first(x)), 30, 100, 0.05, seed=2) == want
+        assert calibrate_cutoff(lambda x: int(first(x) > 0), 30, 100, 0.05, seed=2) == 1.0
+
 
 class TestExtractFeatures:
     """The extractor dispatch used by training and testing."""
@@ -525,7 +592,8 @@ class TestFeatureBlock:
     def test_matches_per_replicate_features(self, extractor, n, count):
         """Chunks of 81 rows at n=100 and 128 at n=5; neither count is a multiple."""
         scheme, spec = SeedScheme(6), case_spec(2)
-        block = _feature_block(spec, count, n, scheme, "train-h1", extractor)
+        cfg = TrainConfig(n=n, d=1, extractor=extractor)
+        block = _feature_block(spec, count, cfg, scheme, "train-h1")
         expected = np.stack([
             extract_features(sample(spec, n, scheme.stream(2, r, "train-h1")), extractor).values
             for r in range(count)
@@ -567,7 +635,7 @@ class TestChunks:
 
 
 class TestModelDigests:
-    """SHA-256 of the arrays of two small models, pinned at the parent of the block raster path.
+    """SHA-256 of the arrays of two small models.
 
     The digest covers what the benchmark's model_digest covers: the
     selection scores and mask, the metric, the centroid, the null
@@ -576,8 +644,8 @@ class TestModelDigests:
     """
 
     PINS = {
-        "RawOrder": "ad6b71e241cb404ba337e76a1c63d048f8f2cecdf2866556f8909a6741be6c7b",
-        "ImageGrid": "eb8ff887d0c73082ab96be31c6bf6f769910095899c7cf3bef0e7497b8fdda2f",
+        "RawOrder": "6f87e1bbf84201652999378ab346bae8745ed63712fd49f5f3ebd4b7140e2397",
+        "ImageGrid": "c26b0bb6b4fabb90e3746680ecf7ce3239d7d12d4eb53ef536d44cebb69405a0",
     }
 
     @pytest.mark.parametrize("extractor", sorted(PINS))
@@ -606,46 +674,51 @@ class TestModelInvariants:
         """Null distances must be stored in ascending order."""
         with pytest.raises(InvalidArgumentError):
             DNTModel(
-                extractor_id=model.extractor_id,
                 selection=model.selection,
                 metric=model.metric,
                 centroid=model.centroid,
                 null_distances=model.null_distances[::-1].copy(),
-                cutoff=model.cutoff,
-                alpha=model.alpha,
-                n=model.n,
                 config=model.config,
             )
 
-    def test_rejects_cutoff_off_the_quantile(self, model):
-        """The stored cutoff must equal the null-quantile order statistic."""
-        with pytest.raises(InvalidArgumentError):
+    def test_cutoff_is_derived_from_the_null_quantile(self, model):
+        """cutoff is the (1-alpha) order statistic, computed, and not a constructor argument."""
+        rank = math.ceil((1.0 - model.alpha) * model.null_distances.size - 1e-9)
+        assert model.cutoff == float(model.null_distances[rank - 1])
+        assert (model.n, model.alpha, model.extractor_id) == (20, 0.05, "RawOrder")
+        with pytest.raises(TypeError):
             DNTModel(
-                extractor_id=model.extractor_id,
                 selection=model.selection,
                 metric=model.metric,
                 centroid=model.centroid,
                 null_distances=model.null_distances,
-                cutoff=model.cutoff * 1.01,
-                alpha=model.alpha,
-                n=model.n,
                 config=model.config,
+                cutoff=model.cutoff,
             )
+        with pytest.raises(ValueError):
+            dataclasses.replace(model, cutoff=model.cutoff * 1.01)
 
     def test_rejects_centroid_dimension_mismatch(self, model):
         """The centroid must live in the selected feature space."""
         with pytest.raises(InvalidArgumentError):
             DNTModel(
-                extractor_id=model.extractor_id,
                 selection=model.selection,
                 metric=model.metric,
                 centroid=np.append(model.centroid, 0.0),
                 null_distances=model.null_distances,
-                cutoff=model.cutoff,
-                alpha=model.alpha,
-                n=model.n,
                 config=model.config,
             )
+
+    @pytest.mark.parametrize(
+        "extractor, n, m",
+        [("RawOrder", 20, 16), ("RawOrder", 20, 21), ("ImageGrid", 20, 20), ("ImageGrid", 20, 195)],
+    )
+    def test_rejects_a_selection_over_another_feature_length(self, model, extractor, n, m):
+        """selection.m must be the feature length of (extractor, n): n, or IMAGE_GRID_LENGTH."""
+        config = dataclasses.replace(model.config, extractor=extractor, n=n)
+        selection = SelectionModel(np.ones(m), np.arange(model.selection.d))
+        with pytest.raises(InvalidArgumentError, match=f"selection scores {m} features"):
+            dataclasses.replace(model, config=config, selection=selection)
 
     def test_rejects_a_nan_centroid(self, model):
         """A NaN centroid would make every statistic NaN and every verdict accept."""
@@ -872,7 +945,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("key, value", [("n", 30), ("alpha", 0.1), ("extractor", "ImageGrid")])
     def test_config_must_match_the_model(self, model, tmp_path, key, value):
-        """n, alpha and extractor_id have to equal their config copies."""
+        """The file's n, alpha and extractor_id have to equal their config values."""
         path = tmp_path / "model.json"
         save_model(model, str(path))
         payload = json.loads(path.read_text())
@@ -880,8 +953,18 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="disagree with config"):
             load_model(str(path))
-        with pytest.raises(InvalidArgumentError, match="disagree with config"):
-            dataclasses.replace(model, config=dataclasses.replace(model.config, **{key: value}))
+
+    def test_feature_count_must_match_the_config(self, model, tmp_path):
+        """A file whose scores are cut to 16 of n=20 features is malformed, not a mismatch."""
+        first = SelectionModel(model.selection.scores, np.arange(model.selection.d))
+        path = tmp_path / "model.json"
+        payload = _saved_payload(dataclasses.replace(model, selection=first), path)
+        scores = np.frombuffer(base64.b64decode(payload["selection"]["scores"]), dtype="<f8")
+        assert first.mask.max() < 16  # every mask index stays valid
+        payload["selection"]["scores"] = base64.b64encode(scores[:16].tobytes()).decode("ascii")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="selection scores 16 features.*20 at n=20"):
+            load_model(str(path))
 
     def test_undecodable_file_is_a_format_error(self, tmp_path):
         """Bytes outside ASCII are malformed model data, not a crash."""

@@ -333,7 +333,10 @@ class TestBlockScoring:
         features = z if name == "DNT-raw" else _image_grid_rows(_render_rows(z)[0])
         assert not features[:, model.selection.mask].flags.c_contiguous
         want = np.array([dnt_test(x, model).statistic for x in chunk])
-        assert _squared_distances(features, model).tobytes() == want.tobytes()
+        got = _squared_distances(
+            features, model.selection.mask, model.centroid, model.metric.matrix
+        )
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", [*METHOD_NAMES, "all"])
     def test_constant_row_raises_what_decide_raises(self, small_bank, name):
@@ -501,8 +504,8 @@ class TestDeskDigests:
     """
 
     MODELS = {
-        "DNT-raw": "c2bf85bb528daafe4aeadbb18b1683a52e17f6bed8f06d2993a12cdcd44e6a07",
-        "DNT-image": "07c28a9d92305950d9a540957bfec8c6e7ec9bf1ab51b288d87cf9d4fc25da12",
+        "DNT-raw": "4dc0985b73df42713785ce2cb77d0116ba20859966c926be8f40389049156525",
+        "DNT-image": "78f56dc5e6c69192f48faa1055e53c55449857fbd023a4daea1733d466fcb192",
     }
     CSV = "782e4a8e25a5359044b133531ba45a58b48f75e75db3a2a764e6318df280de7a"
 

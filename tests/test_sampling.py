@@ -493,14 +493,10 @@ class TestVectorCheck:
 
 def _dnt_model(inputs: dict[str, np.ndarray]) -> DNTModel:
     return DNTModel(
-        extractor_id="RawOrder",
-        selection=SelectionModel(np.ones(4), np.array([0, 2])),
+        selection=SelectionModel(np.ones(10), np.array([0, 2])),
         metric=MetricMatrix.identity(2),
         centroid=inputs["centroid"],
         null_distances=inputs["null_distances"],
-        cutoff=18.0,  # order statistic 19 of 20 at alpha 0.05
-        alpha=0.05,
-        n=10,
         config=TrainConfig(n=10, d=2),
     )
 
