@@ -39,12 +39,11 @@ from .errors import (
 from .features import (
     FeatureVector,
     SelectionModel,
-    apply_selection,
     extract_image,
     extract_raw,
     fit_selection,
 )
-from .imagesim import SimilarityReference, SimilarityScore, psnr, similarity_test_statistic, ssim
+from .imagesim import SimilarityReference, SimilarityScore, psnr, ssim
 from .lmnn import (
     LmnnConfig,
     MetricMatrix,
@@ -52,7 +51,6 @@ from .lmnn import (
     build_triplets,
     mahalanobis_distance,
     train_metric,
-    transform,
 )
 from .normal import normal_cdf, normal_quantile
 from .power import PowerTable, RunConfig, emit_table, parse_table, run_power_study

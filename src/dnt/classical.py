@@ -56,20 +56,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestStatistic:
-    """A named statistic value and the direction in which it rejects."""
+    """A named statistic value; the name fixes the direction in which it rejects."""
 
     name: str
     value: float
-    direction: str
 
     def __post_init__(self) -> None:
         if self.name not in STATISTIC_NAMES:
             raise InvalidArgumentError(f"unknown statistic name {self.name!r}")
-        direction = _STATISTICS[self.name][1]
-        if self.direction != direction:
-            raise InvalidArgumentError(f"{self.name} must have direction {direction!r}")
         if not math.isfinite(self.value):
             raise InvalidArgumentError("statistic value must be finite")
+
+    @property
+    def direction(self) -> str:
+        """Read from the name: "reject-two-sided" for BS, else "reject-large"."""
+        return _STATISTICS[self.name][1]
 
     @property
     def calibration_value(self) -> float:
@@ -191,8 +192,8 @@ STATISTIC_NAMES = tuple(_STATISTICS)
 
 def _single(name: str, x: Sample | np.ndarray) -> TestStatistic:
     """One sample's statistic: validate, run the kernel on one row, wrap."""
-    kernel, direction = _STATISTICS[name]
-    return TestStatistic(name, float(kernel(_as_values(x)[np.newaxis, :])[0]), direction)
+    kernel = _STATISTICS[name][0]
+    return TestStatistic(name, float(kernel(_as_values(x)[np.newaxis, :])[0]))
 
 
 def _calibrated(name: str):

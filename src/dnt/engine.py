@@ -46,7 +46,7 @@ from .features import (
     extract_raw,
     fit_selection,
 )
-from .lmnn import LmnnConfig, MetricMatrix, train_metric
+from .lmnn import LmnnConfig, MetricMatrix, _quadratic_forms, train_metric
 from .qq import _render_rows, qq_points, rasterize
 from .sampling import (
     DistributionSpec,
@@ -122,6 +122,8 @@ class TrainConfig:
             raise ConfigError("n must be at least 3")
         if self.h0_pool < 2 or self.h1_count < 2:
             raise ConfigError("h0_pool and h1_count must be at least 2")
+        for name in ("h0_keep_fraction", "alpha"):
+            _finite(getattr(self, name), name, ConfigError)
         if not 0.0 < self.h0_keep_fraction <= 1.0:
             raise ConfigError("h0_keep_fraction must be in (0, 1]")
         if self.extractor not in EXTRACTOR_IDS:
@@ -351,11 +353,12 @@ def _squared_distances(
     The selected columns are copied to C order before the centroid is
     subtracted: ``features[:, mask]`` is F-ordered, and the dot product
     of a strided row can round differently from that of a contiguous
-    one. Each row then takes the one-sample quadratic form, so a row's
-    value does not depend on the rows beside it.
+    one. ``lmnn._quadratic_forms`` scores all rows in one call, and a
+    negative form becomes 0.0 as under ``max(q, 0.0)``, which keeps -0.0.
     """
-    deltas = np.ascontiguousarray(features[:, mask]) - centroid
-    return np.array([max(delta @ matrix @ delta, 0.0) for delta in deltas])
+    quad = _quadratic_forms(np.ascontiguousarray(features[:, mask]) - centroid, matrix)
+    quad[quad < 0.0] = 0.0
+    return quad
 
 
 def dnt_test(x: Sample | np.ndarray, model: DNTModel) -> TestReport:

@@ -27,7 +27,6 @@ __all__ = [
     "extract_raw",
     "extract_image",
     "fit_selection",
-    "apply_selection",
 ]
 
 EXTRACTOR_IDS = ("RawOrder", "ImageGrid")
@@ -46,7 +45,6 @@ class FeatureVector:
 
     values: np.ndarray
     extractor_id: str
-    selected: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = _frozen(self, "values", _array(self.values, "feature values"))
@@ -54,12 +52,6 @@ class FeatureVector:
             raise InvalidArgumentError("feature values must be a nonempty 1-D vector")
         if self.extractor_id not in EXTRACTOR_IDS:
             raise InvalidArgumentError(f"unknown extractor {self.extractor_id!r}")
-        if self.selected is not None:
-            mask = _frozen(self, "selected", _array(self.selected, "selected mask", int))
-            if mask.size != values.size:
-                raise InvalidArgumentError("selected mask must list one source index per value")
-            if np.any(np.diff(mask) <= 0):
-                raise InvalidArgumentError("selected mask must be strictly increasing")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -202,12 +194,3 @@ def fit_selection(
     scores = gap / se
     top = np.argsort(-scores, kind="stable")[:d]
     return SelectionModel(scores, np.sort(top))
-
-
-def apply_selection(v: FeatureVector, s: SelectionModel) -> FeatureVector:
-    """Project a full-length vector onto the model's retained indices."""
-    if len(v) != s.m:
-        raise InvalidArgumentError(
-            f"vector length {len(v)} does not match selection over {s.m} features"
-        )
-    return FeatureVector(v.values[s.mask], v.extractor_id, selected=s.mask)

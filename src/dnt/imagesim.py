@@ -49,7 +49,6 @@ __all__ = [
     "psnr",
     "ssim",
     "SimilarityReference",
-    "similarity_test_statistic",
 ]
 
 METRIC_NAMES = ("PSNR", "SSIM")
@@ -207,20 +206,3 @@ class _SimilarityStatistic:
         """
         levels, _, _ = _render_rows(_z_scores(samples, ascending=True))
         return self.reference._level_statistics(levels, self.metric)
-
-
-def similarity_test_statistic(
-    x: Sample | np.ndarray,
-    metric: str = "SSIM",
-    reference: QQRaster | None = None,
-) -> float:
-    """Normality statistic: negated similarity of x's raster to a reference.
-
-    The reference defaults to the ideal raster for len(x).
-    """
-    points = qq_points(x)
-    if reference is None:
-        ref = SimilarityReference.ideal(points.n)
-    else:
-        ref = SimilarityReference(reference)
-    return ref.statistic(rasterize(points), metric)

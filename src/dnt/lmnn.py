@@ -37,7 +37,6 @@ __all__ = [
     "mahalanobis_distance",
     "build_triplets",
     "train_metric",
-    "transform",
 ]
 
 _SYM_TOL = 1e-10
@@ -161,6 +160,15 @@ def _vector(v: FeatureVector | np.ndarray) -> np.ndarray:
     return v.values if isinstance(v, FeatureVector) else _array(v, "vector")
 
 
+def _quadratic_forms(deltas: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Unclamped delta' M delta of each row of a C-ordered (rows, d) block.
+
+    Both products are stacked matmuls, so each row takes its own one-row
+    products and its value does not depend on the rows beside it.
+    """
+    return np.matmul(np.matmul(deltas[:, np.newaxis, :], matrix), deltas[:, :, np.newaxis]).ravel()
+
+
 def mahalanobis_distance(
     a: FeatureVector | np.ndarray,
     b: FeatureVector | np.ndarray,
@@ -171,8 +179,7 @@ def mahalanobis_distance(
     vb = _vector(b)
     if va.size != vb.size or va.size != m.dim:
         raise InvalidArgumentError("vector and metric dimensions must match")
-    delta = va - vb
-    quad = float(delta @ m.matrix @ delta)
+    quad = float(_quadratic_forms((va - vb)[np.newaxis], m.matrix)[0])
     if quad < -_QUAD_TOL:
         raise InvalidArgumentError("quadratic form is negative; metric is not PSD")
     return float(np.sqrt(max(quad, 0.0)))
@@ -394,14 +401,3 @@ def train_metric(
             break
         grad = objective.gradient(cand_w_pair, cand_w_imp)
     return MetricMatrix(best_m)
-
-
-def transform(v: FeatureVector | np.ndarray, m: MetricMatrix) -> FeatureVector | np.ndarray:
-    """Map v to U'v so Euclidean distances realize the learned metric."""
-    arr = _vector(v)
-    if arr.size != m.dim:
-        raise InvalidArgumentError("vector and metric dimensions must match")
-    out = m.factor().T @ arr
-    if isinstance(v, FeatureVector):
-        return FeatureVector(out, v.extractor_id, selected=v.selected)
-    return out

@@ -203,7 +203,7 @@ def null_statistic(name: str, n: int, reference: SimilarityReference | None = No
 
 
 def build_methods(cfg: RunConfig) -> MethodBank:
-    """Train every DNT variant and calibrate every statistic in cfg."""
+    """Train every DNT variant and calibrate every statistic in cfg, all at cfg.train.alpha."""
     cutoffs: dict[str, float] = {}
     models: dict[str, DNTModel] = {}
     reference = None
@@ -217,7 +217,7 @@ def build_methods(cfg: RunConfig) -> MethodBank:
                 null_statistic(name, cfg.n, reference),
                 cfg.n,
                 cfg.calibration_reps,
-                alpha=0.05,
+                alpha=cfg.train.alpha,
                 seed=cfg.master_seed,
             )
     return MethodBank(cfg.methods, cfg.n, cutoffs, models, reference)

@@ -51,7 +51,6 @@ __all__ = [
     "parse_distribution_label",
     "sample",
     "standardize",
-    "standardized_values",
     "sample_moments",
 ]
 
@@ -312,13 +311,6 @@ class SeedScheme:
             h = _splitmix64(h ^ word)
         return h
 
-    def generator(self, case_id: int, replicate_idx: int, purpose_tag: str) -> np.random.Generator:
-        """The Generator of one replicate; an index array is refused, not hashed as one seed."""
-        replicate_idx = _seed(replicate_idx, "replicate_idx")
-        return np.random.Generator(
-            np.random.PCG64(self.stream(case_id, replicate_idx, purpose_tag))
-        )
-
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
@@ -465,16 +457,11 @@ def _z_scores(x: np.ndarray, ascending: bool = False) -> np.ndarray:
     return z
 
 
-def standardized_values(x: Sample | np.ndarray) -> np.ndarray:
-    """The values of ``standardize(x)`` as a plain array, with no Sample built."""
-    return _z_scores(_as_values(x))
-
-
 def standardize(x: Sample | np.ndarray) -> Sample:
     """Center and scale to mean 0, population (1/n) standard deviation 1."""
     spec = x.spec if isinstance(x, Sample) else None
     seed = x.seed if isinstance(x, Sample) else None
-    return Sample(standardized_values(x), spec=spec, seed=seed)
+    return Sample(_z_scores(_as_values(x)), spec=spec, seed=seed)
 
 
 def sample_moments(x: Sample | np.ndarray) -> tuple[float, float, float, float]:

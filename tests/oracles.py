@@ -7,8 +7,9 @@ and the package is evidence, not tautology. The exceptions to the loops
 are the frozen_* functions: numpy copies of a package kernel before a
 rewrite, which the rewrite must match byte for byte. They are
 frozen_lmnn_objective, the metric learner's objective before its
-segment-sum form, and frozen_ssim, the dense SSIM filter before its
-sparse row pass.
+segment-sum form, frozen_ssim, the dense SSIM filter before its
+sparse row pass, and frozen_squared_distances, the per-row DNT
+quadratic form before its stacked kernel.
 """
 
 from __future__ import annotations
@@ -524,3 +525,18 @@ def frozen_lmnn_objective(
     adjacency = adjacency + adjacency.T
     laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
     return loss, w_pair, w_imp, x.T @ (laplacian @ x)
+
+
+# ---------------------------------------------------------------------------
+# The DNT distance
+
+
+def frozen_squared_distances(deltas: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Each row's delta' M delta, one row at a time and clamped by Python's max, a bit-exact reference.
+
+    deltas is a C-ordered (rows, d) block of feature rows minus the
+    centroid. max(q, 0.0) turns only a negative q into 0.0, so a -0.0
+    stays -0.0. Any rewrite of the DNT distance must return these
+    bytes, so this copy is never to be edited.
+    """
+    return np.array([max(delta @ matrix @ delta, 0.0) for delta in deltas])

@@ -219,28 +219,26 @@ class TestTestStatistic:
     """Container validation and calibration direction."""
 
     def test_directions(self) -> None:
-        """BS is two-sided; the other five reject on large values."""
+        """BS is two-sided; the other five reject on large values; the name decides."""
         x = sample(case_spec(15), 30, 1)
         assert bs_statistic(x).direction == "reject-two-sided"
         for name in ("KS", "AD", "JB", "GLB", "GG"):
             assert STATS[name][0](x).direction == "reject-large"
+        assert TestStatistic("BS", 1.0).direction == "reject-two-sided"
+        assert TestStatistic("KS", 1.0).direction == "reject-large"
 
     def test_calibration_value_takes_abs_for_two_sided(self) -> None:
         """Two-sided statistics calibrate on |z|."""
-        stat = TestStatistic("BS", -1.7, "reject-two-sided")
+        stat = TestStatistic("BS", -1.7)
         assert stat.calibration_value == pytest.approx(1.7)
-        one_sided = TestStatistic("KS", 0.2, "reject-large")
+        one_sided = TestStatistic("KS", 0.2)
         assert one_sided.calibration_value == pytest.approx(0.2)
-
-    def test_rejects_wrong_direction(self) -> None:
-        with pytest.raises(InvalidArgumentError):
-            TestStatistic("KS", 0.1, "reject-two-sided")
 
     def test_rejects_unknown_name_and_nonfinite(self) -> None:
         with pytest.raises(InvalidArgumentError):
-            TestStatistic("SW", 0.1, "reject-large")
+            TestStatistic("SW", 0.1)
         with pytest.raises(InvalidArgumentError):
-            TestStatistic("KS", float("inf"), "reject-large")
+            TestStatistic("KS", float("inf"))
 
     def test_registry_covers_all_names(self) -> None:
         """statistic_fn resolves every statistic name and nothing else."""

@@ -16,6 +16,7 @@ import json
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from dnt import (
@@ -39,6 +40,7 @@ from dnt import (
     dnt_test,
     ks_statistic,
     load_model,
+    mahalanobis_distance,
     sample,
     save_model,
     train,
@@ -49,6 +51,7 @@ from dnt.engine import (
     MODEL_FORMAT_VERSION,
     _chunks,
     _feature_block,
+    _squared_distances,
     config_from_dict,
     config_to_dict,
     extract_features,
@@ -185,10 +188,18 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             tiny_config(n=2)
 
-    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
+    @pytest.mark.parametrize(
+        "fraction",
+        [0.0, -0.1, 1.5, True, np.True_, "0.5", None],
+        ids=["0.0", "-0.1", "1.5", "bool", "numpy-bool", "text", "None"],
+    )
     def test_rejects_bad_keep_fraction(self, fraction):
-        """The keep fraction must lie in (0, 1]."""
-        with pytest.raises(ConfigError):
+        """The keep fraction must be a number in (0, 1]; a bool, text or None is refused.
+
+        A model file's codec refuses them, so an accepted True would
+        train a model that load_model cannot read.
+        """
+        with pytest.raises(ConfigError, match="h0_keep_fraction"):
             tiny_config(h0_keep_fraction=fraction)
 
     def test_rejects_keep_count_below_neighbour_count(self):
@@ -220,11 +231,26 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             tiny_config(extractor="Wavelet")
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05])
+    @pytest.mark.parametrize(
+        "alpha",
+        [0.0, 1.0, -0.05, True, "0.05", None],
+        ids=["0.0", "1.0", "-0.05", "bool", "text", "None"],
+    )
     def test_rejects_bad_alpha(self, alpha):
-        """The test level must lie strictly inside (0, 1)."""
-        with pytest.raises(ConfigError):
+        """The test level must be a number strictly inside (0, 1)."""
+        with pytest.raises(ConfigError, match="alpha"):
             tiny_config(alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("h0_keep_fraction", 1), ("h0_keep_fraction", np.float64(0.5)), ("alpha", np.float64(0.1))],
+        ids=["fraction-int", "fraction-numpy", "alpha-numpy"],
+    )
+    def test_a_number_of_another_type_loads_back(self, field, value, tmp_path):
+        """A non-float number TrainConfig accepts gives a model file load_model reads back."""
+        model = train(tiny_config(**{field: value}))
+        save_model(model, str(tmp_path / "model.json"))
+        assert load_model(str(tmp_path / "model.json")).config == model.config
 
     @pytest.mark.parametrize("field", ["h0_pool", "h1_count"])
     def test_rejects_degenerate_population_sizes(self, field):
@@ -433,6 +459,50 @@ class TestOneStatistic:
         at_cutoff = reports[int(np.argsort(statistics, kind="stable")[rank - 1])]
         assert at_cutoff.statistic == model.cutoff
         assert not at_cutoff.reject
+
+
+class TestStackedDistance:
+    """The one DNT quadratic form, stacked, against the per-row form it replaced.
+
+    ``oracles.frozen_squared_distances`` is the per-row loop that
+    ``_squared_distances`` ran before; both sides call the same one-row
+    products, so the bytes agree at any BLAS thread count.
+    """
+
+    @staticmethod
+    def _matrix(d: int, seed: int) -> np.ndarray:
+        f = np.random.default_rng(seed).normal(size=(d, d))
+        return f @ f.T / d
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["psd", "negated"])
+    @pytest.mark.parametrize("d", [1, 5, 100, 196])
+    def test_distances_match_the_per_row_form(self, d, sign):
+        """Blocks of 1 to 9 rows and of 5,000, each with a row equal to the centroid.
+
+        The negated metric makes every form but the centroid row's
+        negative, so the clamp is checked against Python's max.
+        """
+        rng = np.random.default_rng(d)
+        matrix = sign * self._matrix(d, d + 1)
+        mask = np.sort(rng.choice(d + 3, size=d, replace=False))
+        for rows in [*range(1, 10), 5_000]:
+            features = rng.normal(size=(rows, d + 3))
+            centroid = features[rows // 2, mask].copy()
+            got = _squared_distances(features, mask, centroid, matrix)
+            deltas = np.ascontiguousarray(features[:, mask]) - centroid
+            want = oracles.frozen_squared_distances(deltas, matrix)
+            assert got.tobytes() == want.tobytes(), rows
+            assert got[rows // 2] == 0.0
+
+    @pytest.mark.parametrize("d", [1, 5, 100, 196])
+    def test_mahalanobis_distance_keeps_its_values(self, d):
+        """sqrt of the clamped per-row form, bit for bit, for 50 pairs of vectors."""
+        rng = np.random.default_rng(d)
+        matrix = self._matrix(d, d + 2)
+        metric = MetricMatrix(matrix)
+        for a, b in rng.normal(size=(50, 2, d)):
+            want = float(np.sqrt(oracles.frozen_squared_distances((a - b)[np.newaxis], matrix)[0]))
+            assert mahalanobis_distance(a, b, metric) == want
 
 
 class TestCalibrateCutoff:

@@ -6,7 +6,7 @@ Tests cover:
   bit for bit, against the per-pixel oracle
 - the block ImageGrid kernel, row by row against extract_image
 - FeatureVector / SelectionModel validation
-- fit_selection scoring, tie-breaking, and apply_selection
+- fit_selection scoring and tie-breaking
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dnt.features import (
     FeatureVector,
     SelectionModel,
     _image_grid_rows,
-    apply_selection,
     extract_image,
     extract_raw,
     fit_selection,
@@ -174,14 +173,6 @@ class TestFeatureVector:
         with pytest.raises(InvalidArgumentError):
             FeatureVector(np.array([1.0, np.inf]), "RawOrder")
 
-    def test_selected_mask_must_be_increasing_and_match_length(self) -> None:
-        with pytest.raises(InvalidArgumentError):
-            FeatureVector(np.ones(3), "RawOrder", selected=np.array([2, 1, 0]))
-        with pytest.raises(InvalidArgumentError):
-            FeatureVector(np.ones(3), "RawOrder", selected=np.array([0, 1]))
-        with pytest.raises(InvalidArgumentError):  # a float index is not truncated
-            FeatureVector(np.ones(2), "RawOrder", selected=np.array([0.9, 1.7]))
-
     def test_values_read_only(self) -> None:
         vec = FeatureVector(np.ones(3), "RawOrder")
         with pytest.raises(ValueError):
@@ -258,21 +249,8 @@ class TestFitSelection:
             fit_selection([a, b], [a, a], d=2)
 
 
-class TestApplySelection:
-    """Projection onto the retained indices."""
-
-    def test_projects_and_tags(self) -> None:
-        model = SelectionModel(np.array([3.0, 1.0, 2.0, 0.5]), np.array([0, 2]))
-        vec = FeatureVector(np.array([10.0, 20.0, 30.0, 40.0]), "RawOrder")
-        out = apply_selection(vec, model)
-        assert np.array_equal(out.values, [10.0, 30.0])
-        assert np.array_equal(out.selected, [0, 2])
-        assert out.extractor_id == "RawOrder"
-
-    def test_rejects_length_mismatch(self) -> None:
-        model = SelectionModel(np.ones(4), np.array([1, 3]))
-        with pytest.raises(InvalidArgumentError):
-            apply_selection(FeatureVector(np.ones(5), "RawOrder"), model)
+class TestSelectionModel:
+    """Scores and the retained index mask."""
 
     def test_selection_model_validation(self) -> None:
         with pytest.raises(InvalidArgumentError):

@@ -4,7 +4,8 @@ Tests cover:
 - identity and symmetry of both metrics
 - agreement with naive sliding-window oracles on a random image pair
 - the precomputed reference fast path
-- the negated-similarity statistic and its direction
+- the negated-similarity statistic of a sample, through power.null_statistic,
+  and its direction
 - SimilarityScore validation
 - the sparse SSIM filter against a frozen copy of the dense one, byte for byte
 - argument checks: non-raster arguments and a non-integer n
@@ -18,16 +19,16 @@ import numpy as np
 import pytest
 
 import oracles
-from dnt.errors import InvalidArgumentError
+from dnt.errors import ConfigError, InvalidArgumentError
 from dnt.imagesim import (
     _SSIM_BLOCK,
     METRIC_NAMES,
     SimilarityReference,
     SimilarityScore,
     psnr,
-    similarity_test_statistic,
     ssim,
 )
+from dnt.power import null_statistic
 from dnt.qq import (
     _LEVELS,
     _POINT_LEVEL,
@@ -123,19 +124,19 @@ class TestSimilarityReference:
 
 
 class TestSimilarityTestStatistic:
-    """The sample-level convenience entry point."""
+    """The statistic of a sample: null_statistic(metric, n, reference)(x)."""
 
     def test_deterministic(self) -> None:
         x = sample(case_spec(13), 100, 31)
-        assert similarity_test_statistic(x) == similarity_test_statistic(x)
+        assert null_statistic("SSIM", 100)(x) == null_statistic("SSIM", 100)(x)
 
     def test_default_reference_is_ideal_raster(self) -> None:
         """Omitting the reference matches passing the ideal raster."""
         x = sample(case_spec(9), 100, 32)
-        ideal = rasterize(ideal_points(100))
+        ideal = SimilarityReference(rasterize(ideal_points(100)))
         for metric in METRIC_NAMES:
-            assert similarity_test_statistic(x, metric) == pytest.approx(
-                similarity_test_statistic(x, metric, reference=ideal), abs=1e-12
+            assert null_statistic(metric, 100)(x) == pytest.approx(
+                null_statistic(metric, 100, ideal)(x), abs=1e-12
             )
 
     def test_larger_for_clearly_non_normal_samples(self) -> None:
@@ -143,13 +144,12 @@ class TestSimilarityTestStatistic:
         null_sample = sample(case_spec(15), 100, 33)
         skewed = sample(case_spec(13), 100, 33)
         for metric in METRIC_NAMES:
-            assert similarity_test_statistic(skewed, metric) > similarity_test_statistic(
-                null_sample, metric
-            )
+            statistic = null_statistic(metric, 100)
+            assert statistic(skewed) > statistic(null_sample)
 
     def test_rejects_unknown_metric(self) -> None:
-        with pytest.raises(InvalidArgumentError):
-            similarity_test_statistic(sample(case_spec(15), 50, 34), "MSE")
+        with pytest.raises(ConfigError):
+            null_statistic("MSE", 50)
 
 
 class TestSimilarityScore:
@@ -281,7 +281,7 @@ class TestArgumentChecks:
             lambda r, x: ssim(r, x),
             lambda r, x: psnr(x, r),
             lambda r, x: psnr(r, x),
-            lambda r, x: similarity_test_statistic(sample(case_spec(15), 50, 1), reference=x),
+            lambda r, x: null_statistic("SSIM", 50, SimilarityReference(x))(sample(case_spec(15), 50, 1)),
             lambda r, x: SimilarityReference(r).statistic(x, "SSIM"),
             lambda r, x: SimilarityReference(r).statistic(x, "PSNR"),
         ],

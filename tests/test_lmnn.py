@@ -8,7 +8,7 @@ Tests cover:
 - the training objective's loss and gradient against explicit sums, and
   byte for byte against the frozen plain Gram/Laplacian form
 - trainer edge cases (zero iterations, config validation)
-- the feature-space transform
+- the feature-space map U'v of MetricMatrix.factor
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dnt.lmnn import (
     build_triplets,
     mahalanobis_distance,
     train_metric,
-    transform,
 )
 
 
@@ -96,6 +95,16 @@ class TestMahalanobisDistance:
     def test_rejects_a_nan_vector(self) -> None:
         with pytest.raises(InvalidArgumentError):
             mahalanobis_distance(np.array([np.nan, 0.0]), np.zeros(2), MetricMatrix.identity(2))
+
+    def test_refuses_a_form_below_minus_1e_10(self) -> None:
+        """A form down to -1e-10 is rounding and reads 0.0; one below it is refused.
+
+        The eigenvalue -1e-9 is inside MetricMatrix's PSD tolerance.
+        """
+        m = MetricMatrix(np.diag([-1e-9, 1.0]))
+        assert mahalanobis_distance(np.array([0.3, 0.0]), np.zeros(2), m) == 0.0  # -9e-11
+        with pytest.raises(InvalidArgumentError, match="quadratic form is negative"):
+            mahalanobis_distance(np.array([0.4, 0.0]), np.zeros(2), m)  # -1.6e-10
 
 
 def _assert_matches_triplet_oracle(x: np.ndarray, labels: np.ndarray, k: int) -> TripletSet:
@@ -447,29 +456,15 @@ class TestTrainMetric:
 
 
 class TestTransform:
-    """Mapping vectors into the learned space."""
+    """Mapping vectors into the learned space: v -> U'v with U = metric.factor()."""
 
     def test_transform_realizes_metric_distance(self) -> None:
-        """Euclidean distance after transform equals the metric distance."""
+        """Euclidean distance after the map equals the metric distance."""
         rng = np.random.default_rng(6)
         f = rng.normal(size=(4, 4))
         m = MetricMatrix(f @ f.T)
         a = rng.normal(size=4)
         b = rng.normal(size=4)
         direct = mahalanobis_distance(a, b, m)
-        mapped = float(np.linalg.norm(transform(a, m) - transform(b, m)))
+        mapped = float(np.linalg.norm(m.factor().T @ a - m.factor().T @ b))
         assert mapped == pytest.approx(direct, abs=1e-10)
-
-    def test_preserves_feature_vector_type(self) -> None:
-        vec = FeatureVector(np.array([1.0, 2.0]), "RawOrder")
-        out = transform(vec, MetricMatrix.identity(2))
-        assert isinstance(out, FeatureVector)
-        assert out.extractor_id == "RawOrder"
-
-    def test_rejects_dimension_mismatch(self) -> None:
-        with pytest.raises(InvalidArgumentError):
-            transform(np.ones(3), MetricMatrix.identity(2))
-
-    def test_rejects_an_infinite_vector(self) -> None:
-        with pytest.raises(InvalidArgumentError):
-            transform(np.array([np.inf, 0.0]), MetricMatrix.identity(2))

@@ -306,6 +306,25 @@ class TestRunPowerStudy:
         assert set(verdicts) == {"KS"}
         assert isinstance(verdicts["KS"], bool)
 
+    def test_every_method_is_calibrated_at_the_training_alpha(self):
+        """At train.alpha = 0.2 each statistic gets its 0.2 cutoff, as the DNT model does."""
+        cfg = RunConfig(
+            methods=("DNT-raw", "KS", "PSNR"),
+            reps=50,
+            n=20,
+            calibration_reps=200,
+            train=TrainConfig(
+                h0_pool=100, h0_keep_fraction=0.1, h1_count=30, d=10, alpha=0.2,
+                lmnn=LmnnConfig(k=5, max_iters=5),
+            ),
+            master_seed=3,
+        )
+        bank = build_methods(cfg)
+        assert bank.models["DNT-raw"].alpha == 0.2
+        for name in ("KS", "PSNR"):
+            at = {a: calibrate_cutoff(null_statistic(name, 20), 20, 200, a, seed=3) for a in (0.2, 0.05)}
+            assert bank.cutoffs[name] == at[0.2] != at[0.05], name
+
 
 class TestBlockScoring:
     """statistic_rows, the study's block path, against the one-sample decide path."""

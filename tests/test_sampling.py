@@ -41,7 +41,6 @@ from dnt.sampling import (
     sample,
     sample_moments,
     standardize,
-    standardized_values,
 )
 
 EXPECTED_LABELS = {
@@ -269,16 +268,11 @@ class TestSeedScheme:
             scheme.stream(case_id, i, purpose) for i in top.tolist()
         ]
 
-    def test_generator_refuses_an_index_array(self) -> None:
-        """PCG64 would take the array of seeds as the entropy of one generator."""
-        with pytest.raises(InvalidArgumentError, match="replicate_idx must be an integer"):
-            SeedScheme(0).generator(15, np.arange(3), "test")
-
     def test_generator_reproducible(self) -> None:
-        """generator() re-yields the identical draw sequence."""
+        """A Generator seeded from stream() re-yields the identical draw sequence."""
         scheme = SeedScheme(5)
-        a = scheme.generator(1, 2, "test").normal(size=8)
-        b = scheme.generator(1, 2, "test").normal(size=8)
+        a = np.random.Generator(np.random.PCG64(scheme.stream(1, 2, "test"))).normal(size=8)
+        b = np.random.Generator(np.random.PCG64(scheme.stream(1, 2, "test"))).normal(size=8)
         assert np.array_equal(a, b)
 
 
@@ -452,7 +446,7 @@ class TestSharedZScores:
         assert qq_points(x).empirical.tobytes() == row.tobytes()
         assert extract_raw(x).values.tobytes() == row.tobytes()
         unsorted = _z_scores(x.values[np.newaxis, :])[0]
-        assert standardized_values(x).tobytes() == unsorted.tobytes()
+        assert standardize(x).values.tobytes() == unsorted.tobytes()
         assert np.sort(unsorted).tobytes() == row.tobytes()
 
 
@@ -464,7 +458,6 @@ BAD_VECTORS = {
 VECTOR_CONSUMERS = {
     "Sample": Sample,
     "standardize": standardize,
-    "standardized_values": standardized_values,
     "sample_moments": sample_moments,
     "qq_points": qq_points,
     "extract_raw": extract_raw,
@@ -513,8 +506,8 @@ ARRAY_FIELDS = {
         lambda a: QQRaster(a["pixels"], (0.0, 1.0)),
     ),
     "FeatureVector": (
-        {"values": np.array([1.0, 2.0]), "selected": np.array([0, 3])},
-        lambda a: FeatureVector(a["values"], "RawOrder", selected=a["selected"]),
+        {"values": np.array([1.0, 2.0])},
+        lambda a: FeatureVector(a["values"], "RawOrder"),
     ),
     "SelectionModel": (
         {"scores": np.array([3.0, 1.0, 2.0]), "mask": np.array([0, 2])},
