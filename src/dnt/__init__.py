@@ -36,13 +36,7 @@ from .errors import (
     TrainingError,
     UnsupportedVersionError,
 )
-from .features import (
-    FeatureVector,
-    SelectionModel,
-    extract_image,
-    extract_raw,
-    fit_selection,
-)
+from .features import SelectionModel, extract_image, extract_raw, fit_selection
 from .imagesim import SimilarityReference, SimilarityScore, psnr, ssim
 from .lmnn import (
     LmnnConfig,

@@ -39,7 +39,6 @@ from .errors import (
 from .features import (
     EXTRACTOR_IDS,
     IMAGE_GRID_LENGTH,
-    FeatureVector,
     SelectionModel,
     _image_grid_rows,
     extract_image,
@@ -123,7 +122,7 @@ class TrainConfig:
         if self.h0_pool < 2 or self.h1_count < 2:
             raise ConfigError("h0_pool and h1_count must be at least 2")
         for name in ("h0_keep_fraction", "alpha"):
-            _finite(getattr(self, name), name, ConfigError)
+            object.__setattr__(self, name, float(_finite(getattr(self, name), name, ConfigError)))
         if not 0.0 < self.h0_keep_fraction <= 1.0:
             raise ConfigError("h0_keep_fraction must be in (0, 1]")
         if self.extractor not in EXTRACTOR_IDS:
@@ -229,7 +228,7 @@ class DNTModel:
         return self.config.extractor
 
 
-def extract_features(x: Sample | np.ndarray, extractor_id: str) -> FeatureVector:
+def extract_features(x: Sample | np.ndarray, extractor_id: str) -> np.ndarray:
     """Run one extractor on a sample (rasterizing first if image-based)."""
     if extractor_id == "RawOrder":
         return extract_raw(x)
@@ -368,7 +367,7 @@ def dnt_test(x: Sample | np.ndarray, model: DNTModel) -> TestReport:
         raise ModelMismatchError(
             f"model was trained for n={model.n}, got a sample of n={values.size}"
         )
-    features = extract_features(x, model.extractor_id).values[np.newaxis]
+    features = extract_features(x, model.extractor_id)[np.newaxis]
     statistic = float(
         _squared_distances(features, model.selection.mask, model.centroid, model.metric.matrix)[0]
     )

@@ -22,7 +22,6 @@ from .sampling import Sample, _array, _as_values, _frozen, _z_scores
 __all__ = [
     "EXTRACTOR_IDS",
     "IMAGE_GRID_LENGTH",
-    "FeatureVector",
     "SelectionModel",
     "extract_raw",
     "extract_image",
@@ -37,24 +36,6 @@ IMAGE_GRID_LENGTH = _GRID * _GRID * 3 + 4
 _INDEX = np.arange(RASTER_SIZE)
 # Values behind each cell statistic: pixels, then inner differences across and down.
 _CELL_COUNTS = np.array([_CELL * _CELL, _CELL * (_CELL - 1), _CELL * (_CELL - 1)])
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """A finite numeric vector tagged with the extractor that made it."""
-
-    values: np.ndarray
-    extractor_id: str
-
-    def __post_init__(self) -> None:
-        values = _frozen(self, "values", _array(self.values, "feature values"))
-        if values.size == 0:
-            raise InvalidArgumentError("feature values must be a nonempty 1-D vector")
-        if self.extractor_id not in EXTRACTOR_IDS:
-            raise InvalidArgumentError(f"unknown extractor {self.extractor_id!r}")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -85,20 +66,20 @@ class SelectionModel:
         return int(self.scores.size)
 
 
-def extract_raw(x: Sample | np.ndarray) -> FeatureVector:
-    """Sorted standardized sample as the feature vector (length n)."""
-    return FeatureVector(_z_scores(_as_values(x), ascending=True), "RawOrder")
+def extract_raw(x: Sample | np.ndarray) -> np.ndarray:
+    """Sorted standardized sample as a fresh feature vector (length n)."""
+    return _z_scores(_as_values(x), ascending=True)
 
 
-def extract_image(r: QQRaster) -> FeatureVector:
-    """Grid-cell and global raster statistics (length 196).
+def extract_image(r: QQRaster) -> np.ndarray:
+    """Grid-cell and global raster statistics as a fresh vector (length 196).
 
     Per 16x16 cell: mean intensity, mean absolute horizontal forward
     difference, mean absolute vertical forward difference. Global:
     mean, population sd, and the mean row and column index of the
     point-level (intensity 1.0) pixels, 0.0 when there are none.
     """
-    return FeatureVector(_image_grid_rows(r.pixels[np.newaxis], 1.0)[0], "ImageGrid")
+    return _image_grid_rows(r.pixels[np.newaxis], 1.0)[0]
 
 
 def _image_grid_rows(images: np.ndarray, top=_POINT_LEVEL) -> np.ndarray:
@@ -148,40 +129,24 @@ def _image_grid_rows(images: np.ndarray, top=_POINT_LEVEL) -> np.ndarray:
     return np.concatenate([per_cell, global_stats], axis=1)
 
 
-def _as_matrix(vectors: list[FeatureVector] | np.ndarray, what: str) -> tuple[np.ndarray, str | None]:
-    """A finite (rows >= 2, features) matrix and the vectors' extractor (None for a matrix)."""
-    if isinstance(vectors, np.ndarray):
-        matrix, extractor = _array(vectors, what, ndim=2), None
-    else:
-        if len(vectors) < 2:
-            raise InvalidArgumentError(f"{what} needs at least 2 vectors")
-        extractor = vectors[0].extractor_id
-        length = len(vectors[0])
-        for v in vectors:
-            if v.extractor_id != extractor or len(v) != length:
-                raise InvalidArgumentError(f"{what} vectors must share extractor and length")
-        matrix = np.stack([v.values for v in vectors])
+def _as_matrix(x, what: str) -> np.ndarray:
+    """x as a finite (rows >= 2, features) float matrix."""
+    matrix = _array(x, what, ndim=2)
     if matrix.shape[0] < 2:
         raise InvalidArgumentError(f"{what} needs a 2-D matrix with at least 2 rows")
-    return matrix, extractor
+    return matrix
 
 
-def fit_selection(
-    h0: list[FeatureVector] | np.ndarray,
-    h1: list[FeatureVector] | np.ndarray,
-    d: int,
-) -> SelectionModel:
+def fit_selection(h0: np.ndarray, h1: np.ndarray, d: int) -> SelectionModel:
     """Rank features by |mean gap| / pooled standard error, keep the top d.
 
     score_j = |mean_h0 - mean_h1| / sqrt(var_h0/n0 + var_h1/n1 + 1e-12)
     with unbiased (1/(n-1)) variances. Ties rank the lower index first.
     """
-    m0, ex0 = _as_matrix(h0, "fit_selection h0")
-    m1, ex1 = _as_matrix(h1, "fit_selection h1")
+    m0 = _as_matrix(h0, "fit_selection h0")
+    m1 = _as_matrix(h1, "fit_selection h1")
     if m0.shape[1] != m1.shape[1]:
         raise InvalidArgumentError("h0 and h1 feature lengths differ")
-    if ex0 is not None and ex1 is not None and ex0 != ex1:
-        raise InvalidArgumentError("h0 and h1 extractors differ")
     m = m0.shape[1]
     if not 1 <= d <= m:
         raise InvalidArgumentError(f"d must be in 1..{m}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, TrainingError
-from .features import FeatureVector, _as_matrix
+from .features import _as_matrix
 from .sampling import _array, _finite, _frozen, _integer
 
 __all__ = [
@@ -145,7 +145,7 @@ class LmnnConfig:
         for name in ("k", "max_iters"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("push_weight", "margin", "step_size", "tolerance"):
-            _finite(getattr(self, name), name)
+            object.__setattr__(self, name, float(_finite(getattr(self, name), name)))
         if self.k < 1:
             raise InvalidArgumentError("k must be at least 1")
         if self.push_weight <= 0 or self.margin <= 0:
@@ -154,10 +154,6 @@ class LmnnConfig:
             raise InvalidArgumentError("max_iters must be nonnegative")
         if self.step_size <= 0 or self.tolerance <= 0:
             raise InvalidArgumentError("step_size and tolerance must be positive")
-
-
-def _vector(v: FeatureVector | np.ndarray) -> np.ndarray:
-    return v.values if isinstance(v, FeatureVector) else _array(v, "vector")
 
 
 def _quadratic_forms(deltas: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -169,14 +165,10 @@ def _quadratic_forms(deltas: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(deltas[:, np.newaxis, :], matrix), deltas[:, :, np.newaxis]).ravel()
 
 
-def mahalanobis_distance(
-    a: FeatureVector | np.ndarray,
-    b: FeatureVector | np.ndarray,
-    m: MetricMatrix,
-) -> float:
+def mahalanobis_distance(a: np.ndarray, b: np.ndarray, m: MetricMatrix) -> float:
     """sqrt(delta' M delta) with tiny negative quadratic forms clamped to 0."""
-    va = _vector(a)
-    vb = _vector(b)
+    va = _array(a, "vector")
+    vb = _array(b, "vector")
     if va.size != vb.size or va.size != m.dim:
         raise InvalidArgumentError("vector and metric dimensions must match")
     quad = float(_quadratic_forms((va - vb)[np.newaxis], m.matrix)[0])
@@ -185,11 +177,7 @@ def mahalanobis_distance(
     return float(np.sqrt(max(quad, 0.0)))
 
 
-def build_triplets(
-    features: np.ndarray | list[FeatureVector],
-    labels: np.ndarray,
-    k: int,
-) -> TripletSet:
+def build_triplets(features: np.ndarray, labels: np.ndarray, k: int) -> TripletSet:
     """Pick k target neighbors per focal and impostors from its 3k-neighborhood.
 
     Focals are the points of every class with at least k+1 members
@@ -197,7 +185,7 @@ def build_triplets(
     Euclidean distance with ties broken toward the lower index; the
     result depends only on the input order, never on randomness.
     """
-    x, _ = _as_matrix(features, "build_triplets features")
+    x = _as_matrix(features, "build_triplets features")
     y = np.asarray(labels)
     n = x.shape[0]
     if y.shape != (n,):
@@ -355,11 +343,7 @@ class _Objective:
         return self.x.T @ (laplacian @ self.x)
 
 
-def train_metric(
-    features: np.ndarray | list[FeatureVector],
-    labels: np.ndarray,
-    cfg: LmnnConfig,
-) -> MetricMatrix:
+def train_metric(features: np.ndarray, labels: np.ndarray, cfg: LmnnConfig) -> MetricMatrix:
     """Fit M by projected gradient descent from the identity.
 
     A step that raises the loss is rejected and halves the step size;
@@ -367,7 +351,7 @@ def train_metric(
     relative improvement below cfg.tolerance, or step-size underflow,
     and returns the lowest-loss iterate observed.
     """
-    x, _ = _as_matrix(features, "train_metric features")
+    x = _as_matrix(features, "train_metric features")
     ts = build_triplets(x, labels, cfg.k)
     objective = _Objective(x, ts, cfg.push_weight, cfg.margin)
 

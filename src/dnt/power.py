@@ -90,6 +90,9 @@ class RunConfig:
             raise ConfigError("n must be at least 3")
         if self.calibration_reps < 100:
             raise ConfigError("calibration_reps must be at least 100")
+        for name in methods:  # a run that cannot train fails here, before any calibration
+            if name in _EXTRACTORS:
+                _train_config(self, name)
 
     def resolved_train(self) -> TrainConfig:
         """Training config with n forced and the seed inherited if unset."""
@@ -99,6 +102,11 @@ class RunConfig:
         if cfg.master_seed is None:
             cfg = replace(cfg, master_seed=self.master_seed)
         return cfg
+
+
+def _train_config(cfg: RunConfig, name: str) -> TrainConfig:
+    """The training config of DNT method name in run cfg."""
+    return replace(cfg.resolved_train(), extractor=_EXTRACTORS[name])
 
 
 class MethodBank:
@@ -211,7 +219,7 @@ def build_methods(cfg: RunConfig) -> MethodBank:
         reference = SimilarityReference.ideal(cfg.n)
     for name in cfg.methods:
         if name in _EXTRACTORS:
-            models[name] = train(replace(cfg.resolved_train(), extractor=_EXTRACTORS[name]))
+            models[name] = train(_train_config(cfg, name))
         else:
             cutoffs[name] = calibrate_cutoff(
                 null_statistic(name, cfg.n, reference),

@@ -243,7 +243,7 @@ def _finite(value, what: str, error: type[DntError] = InvalidArgumentError):
     try:
         if not isinstance(value, (bool, np.bool_)) and math.isfinite(value):
             return value
-    except TypeError:
+    except (TypeError, OverflowError):  # OverflowError: an int beyond float range
         pass
     raise error(f"{what} must be a finite number, got {value!r}")
 

@@ -363,6 +363,23 @@ class TestPowerCommand:
         assert entrypoint(["power", "--config", str(json_config), "--out", str(json_out)]) == EXIT_OK
         assert out.read_bytes() == json_out.read_bytes()
 
+    def test_a_method_that_cannot_train_fails_before_calibrating(self, tmp_path, capsys, monkeypatch):
+        """A DNT method whose training config is invalid at the run's n exits 2 at once.
+
+        No statistic is calibrated first, and no table is written.
+        """
+
+        def calibrate_cutoff(*args, **kwargs):
+            raise AssertionError("a statistic was calibrated before the run was checked")
+
+        monkeypatch.setattr("dnt.power.calibrate_cutoff", calibrate_cutoff)
+        config = tmp_path / "power.json"
+        config.write_text(json.dumps({**POWER_JSON, "methods": ["KS", "SSIM", "DNT-raw"], "n": 50}))
+        out = tmp_path / "t.csv"
+        assert entrypoint(["power", "--config", str(config), "--out", str(out)]) == EXIT_USAGE
+        assert "d must be in 1..50" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_is_a_usage_error(self, tmp_path):
         """An unregistered method name fails validation."""
         config = tmp_path / "power.json"

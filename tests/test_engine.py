@@ -233,8 +233,8 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize(
         "alpha",
-        [0.0, 1.0, -0.05, True, "0.05", None],
-        ids=["0.0", "1.0", "-0.05", "bool", "text", "None"],
+        [0.0, 1.0, -0.05, True, "0.05", None, 10**400],
+        ids=["0.0", "1.0", "-0.05", "bool", "text", "None", "int-beyond-float"],
     )
     def test_rejects_bad_alpha(self, alpha):
         """The test level must be a number strictly inside (0, 1)."""
@@ -251,6 +251,28 @@ class TestTrainConfig:
         model = train(tiny_config(**{field: value}))
         save_model(model, str(tmp_path / "model.json"))
         assert load_model(str(tmp_path / "model.json")).config == model.config
+
+    def test_float32_fields_are_stored_as_floats(self, tmp_path):
+        """numpy float32 settings train, save and load back, each stored as a Python float."""
+        cfg = tiny_config(
+            h0_keep_fraction=np.float32(0.25),
+            alpha=np.float32(0.1),
+            lmnn=LmnnConfig(
+                k=5,
+                push_weight=np.float32(0.5),
+                margin=np.float32(1.0),
+                max_iters=5,
+                step_size=np.float32(1e-3),
+                tolerance=np.float32(1e-6),
+            ),
+        )
+        values = [cfg.h0_keep_fraction, cfg.alpha]
+        values += [getattr(cfg.lmnn, name) for name in ("push_weight", "margin", "step_size", "tolerance")]
+        assert [type(value) for value in values] == [float] * 6
+        assert cfg.alpha == float(np.float32(0.1))
+        model = train(cfg)
+        save_model(model, str(tmp_path / "model.json"))
+        assert load_model(str(tmp_path / "model.json")).config == cfg
 
     @pytest.mark.parametrize("field", ["h0_pool", "h1_count"])
     def test_rejects_degenerate_population_sizes(self, field):
@@ -665,7 +687,7 @@ class TestFeatureBlock:
         cfg = TrainConfig(n=n, d=1, extractor=extractor)
         block = _feature_block(spec, count, cfg, scheme, "train-h1")
         expected = np.stack([
-            extract_features(sample(spec, n, scheme.stream(2, r, "train-h1")), extractor).values
+            extract_features(sample(spec, n, scheme.stream(2, r, "train-h1")), extractor)
             for r in range(count)
         ])
         assert block.tobytes() == expected.tobytes()

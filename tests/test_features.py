@@ -5,7 +5,7 @@ Tests cover:
 - image-grid features (cell stats plus globals) against plain loops and,
   bit for bit, against the per-pixel oracle
 - the block ImageGrid kernel, row by row against extract_image
-- FeatureVector / SelectionModel validation
+- extractor results as fresh arrays, and SelectionModel validation
 - fit_selection scoring and tie-breaking
 """
 
@@ -19,7 +19,6 @@ from dnt.errors import InvalidArgumentError
 from dnt.features import (
     EXTRACTOR_IDS,
     IMAGE_GRID_LENGTH,
-    FeatureVector,
     SelectionModel,
     _image_grid_rows,
     extract_image,
@@ -32,25 +31,40 @@ from test_qq import EDGE_BLOCK, benchmark_block
 
 
 class TestExtractRaw:
-    """Sorted standardized order statistics."""
+    """Sorted standardized order statistics, and what every extractor returns."""
 
     def test_length_matches_sample_size(self) -> None:
         vec = extract_raw(sample(case_spec(15), 100, 1))
-        assert len(vec) == 100
-        assert vec.extractor_id == "RawOrder"
+        assert vec.dtype == np.float64
+        assert vec.shape == (100,)
 
     def test_values_sorted_and_standardized(self) -> None:
         vec = extract_raw(sample(case_spec(11), 50, 2))
-        assert np.all(np.diff(vec.values) >= 0)
-        assert float(vec.values.mean()) == pytest.approx(0.0, abs=1e-12)
-        assert float(vec.values.std()) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(vec) >= 0)
+        assert float(vec.mean()) == pytest.approx(0.0, abs=1e-12)
+        assert float(vec.std()) == pytest.approx(1.0, abs=1e-12)
 
     def test_affine_invariant(self) -> None:
         """Raw features ignore location and scale."""
         x = sample(case_spec(7), 30, 3)
         a = extract_raw(x)
         b = extract_raw(10.0 * x.values + 5.0)
-        assert np.allclose(a.values, b.values, atol=1e-12)
+        assert np.allclose(a, b, atol=1e-12)
+
+    def test_extractors_return_fresh_arrays(self) -> None:
+        """Writing into features changes neither the sample nor the next raster's features."""
+        arr = sample(case_spec(11), 40, 9).values.copy()
+        before = arr.tobytes()
+        extract_raw(arr)[:] = 7.0
+        assert arr.tobytes() == before
+        raster = rasterize(qq_points(arr))
+        image = extract_image(raster)
+        before = image.tobytes()
+        image[:] = -1.0
+        assert extract_image(raster).tobytes() == before
+
+    def test_extractor_ids_frozen(self) -> None:
+        assert EXTRACTOR_IDS == ("RawOrder", "ImageGrid")
 
 
 class TestExtractImage:
@@ -59,13 +73,13 @@ class TestExtractImage:
     def test_length_is_196(self) -> None:
         raster = rasterize(qq_points(sample(case_spec(15), 100, 4)))
         vec = extract_image(raster)
-        assert len(vec) == IMAGE_GRID_LENGTH == 196
-        assert vec.extractor_id == "ImageGrid"
+        assert vec.dtype == np.float64
+        assert vec.shape == (IMAGE_GRID_LENGTH,) == (196,)
 
     def test_cell_statistics_match_plain_loops(self) -> None:
         """Each cell's mean and diff means agree with direct computation."""
         raster = rasterize(qq_points(sample(case_spec(13), 100, 5)))
-        vec = extract_image(raster).values
+        vec = extract_image(raster)
         pixels = raster.pixels
         idx = 0
         for gr in range(8):
@@ -82,7 +96,7 @@ class TestExtractImage:
     def test_global_statistics(self) -> None:
         """Tail entries are image mean, sd, and mean point-pixel row/col."""
         raster = rasterize(qq_points(sample(case_spec(5), 100, 6)))
-        vec = extract_image(raster).values
+        vec = extract_image(raster)
         pixels = raster.pixels
         rows, cols = np.where(pixels == 1.0)
         assert vec[-4] == pytest.approx(pixels.mean(), abs=1e-12)
@@ -95,7 +109,7 @@ class TestExtractImage:
         from dnt.qq import QQRaster, RASTER_SIZE
 
         raster = QQRaster(np.full((RASTER_SIZE, RASTER_SIZE), 0.25), (0.0, 1.0))
-        vec = extract_image(raster).values
+        vec = extract_image(raster)
         assert vec[-2] == 0.0
         assert vec[-1] == 0.0
 
@@ -109,7 +123,7 @@ class TestExtractImageOracle:
         """Raster pixels are 0, 0.5 or 1, so block sums and loop sums agree exactly."""
         raster = rasterize(qq_points(sample(case_spec(case), n, 40 + case)))
         expected = np.array(oracles.oracle_extract_image(raster.pixels.tolist()))
-        assert extract_image(raster).values.tobytes() == expected.tobytes()
+        assert extract_image(raster).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "values",
@@ -121,7 +135,7 @@ class TestExtractImageOracle:
     def test_edge_rasters_match_bit_for_bit(self, values: np.ndarray) -> None:
         raster = rasterize(qq_points(values))
         expected = np.array(oracles.oracle_extract_image(raster.pixels.tolist()))
-        assert extract_image(raster).values.tobytes() == expected.tobytes()
+        assert extract_image(raster).tobytes() == expected.tobytes()
 
     def test_non_dyadic_raster_matches_to_rounding(self) -> None:
         """Arbitrary intensities round differently by summation order, never by more."""
@@ -130,7 +144,7 @@ class TestExtractImageOracle:
         pixels[64:, :] = 0.3
         raster = QQRaster(pixels, (-1.0, 1.0))
         expected = oracles.oracle_extract_image(raster.pixels.tolist())
-        assert np.allclose(extract_image(raster).values, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(extract_image(raster), expected, rtol=0.0, atol=1e-12)
 
 
 class TestImageGridRows:
@@ -144,7 +158,7 @@ class TestImageGridRows:
         # The same images as float pixels take the float path, bit for bit.
         assert _image_grid_rows(levels / 2, 1.0).tobytes() == block.tobytes()
         for i, x in enumerate(samples):
-            assert block[i].tobytes() == extract_image(rasterize(qq_points(x))).values.tobytes()
+            assert block[i].tobytes() == extract_image(rasterize(qq_points(x))).tobytes()
 
     @pytest.mark.parametrize("n", [3, 5, 10, 11, 100, 500])
     def test_benchmark_rows_match_byte_for_byte(self, n: int) -> None:
@@ -160,26 +174,6 @@ class TestImageGridRows:
         block = _image_grid_rows(levels)
         assert block[0, -2:].tolist() == [0.0, 0.0]
         assert block[1, -2:].tolist() == [5.0, 7.0]
-
-
-class TestFeatureVector:
-    """Container validation."""
-
-    def test_rejects_unknown_extractor(self) -> None:
-        with pytest.raises(InvalidArgumentError):
-            FeatureVector(np.ones(4), "DeepNet")
-
-    def test_rejects_nonfinite_values(self) -> None:
-        with pytest.raises(InvalidArgumentError):
-            FeatureVector(np.array([1.0, np.inf]), "RawOrder")
-
-    def test_values_read_only(self) -> None:
-        vec = FeatureVector(np.ones(3), "RawOrder")
-        with pytest.raises(ValueError):
-            vec.values[0] = 2.0
-
-    def test_extractor_ids_frozen(self) -> None:
-        assert EXTRACTOR_IDS == ("RawOrder", "ImageGrid")
 
 
 class TestFitSelection:
@@ -228,25 +222,6 @@ class TestFitSelection:
             fit_selection(h0, h1, d=0)
         with pytest.raises(InvalidArgumentError):
             fit_selection(h0, h1, d=5)
-
-    def test_accepts_feature_vector_lists(self) -> None:
-        """Lists of FeatureVector are equivalent to stacked matrices."""
-        rng = np.random.default_rng(13)
-        m0 = rng.normal(size=(30, 6))
-        m1 = rng.normal(size=(30, 6)) + 1.0
-        as_vectors = fit_selection(
-            [FeatureVector(row, "RawOrder") for row in m0],
-            [FeatureVector(row, "RawOrder") for row in m1],
-            d=3,
-        )
-        as_matrix = fit_selection(m0, m1, d=3)
-        assert np.array_equal(as_vectors.mask, as_matrix.mask)
-
-    def test_rejects_mixed_extractors(self) -> None:
-        a = FeatureVector(np.zeros(196), "ImageGrid")
-        b = FeatureVector(np.ones(196), "RawOrder")
-        with pytest.raises(InvalidArgumentError):
-            fit_selection([a, b], [a, a], d=2)
 
 
 class TestSelectionModel:

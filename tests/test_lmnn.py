@@ -18,7 +18,6 @@ import oracles
 import pytest
 
 from dnt.errors import InsufficientDataError, InvalidArgumentError
-from dnt.features import FeatureVector
 from dnt.lmnn import (
     LmnnConfig,
     MetricMatrix,
@@ -81,12 +80,6 @@ class TestMahalanobisDistance:
         a = np.array([0.0, 0.0])
         b = np.array([1.0, 7.0])
         assert mahalanobis_distance(a, b, m) == pytest.approx(2.0)
-
-    def test_accepts_feature_vectors(self) -> None:
-        m = MetricMatrix.identity(3)
-        a = FeatureVector(np.zeros(3), "RawOrder")
-        b = FeatureVector(np.array([0.0, 3.0, 4.0]), "RawOrder")
-        assert mahalanobis_distance(a, b, m) == pytest.approx(5.0)
 
     def test_rejects_dimension_mismatch(self) -> None:
         with pytest.raises(InvalidArgumentError):
@@ -419,14 +412,6 @@ class TestTrainMetric:
             return within / between
 
         assert ratio(m) < ratio(MetricMatrix.identity(4))
-
-    def test_accepts_feature_vector_lists(self) -> None:
-        rng = np.random.default_rng(5)
-        rows = rng.normal(size=(10, 2))
-        vectors = [FeatureVector(r, "RawOrder") for r in rows]
-        labels = np.array([0] * 5 + [1] * 5)
-        m = train_metric(vectors, labels, LmnnConfig(k=2, max_iters=5))
-        assert m.dim == 2
 
     @pytest.mark.parametrize(
         "kwargs",

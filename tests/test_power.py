@@ -150,6 +150,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=field):
             RunConfig(methods=("KS",), **{field: value})
 
+    def test_rejects_a_dnt_method_that_cannot_train(self):
+        """Each DNT method's training config is built with the run, not after calibration."""
+        with pytest.raises(ConfigError, match="d must be in 1..50"):
+            RunConfig(methods=("KS", "SSIM", "DNT-raw"), n=50)
+        # The default train block is not checked for a run that trains nothing.
+        assert RunConfig(methods=("KS",), n=50).n == 50
+
     def test_resolved_train_forces_the_run_sample_size(self):
         """The training config always trains at the run's n."""
         cfg = RunConfig(methods=("KS",), n=40, train=TrainConfig(n=100, d=20))

@@ -25,7 +25,7 @@ import scipy.stats
 from dnt.classical import STATISTIC_NAMES, statistic_fn
 from dnt.engine import DNTModel, TrainConfig
 from dnt.errors import InsufficientDataError, InvalidArgumentError
-from dnt.features import FeatureVector, SelectionModel, extract_raw
+from dnt.features import SelectionModel, extract_raw
 from dnt.lmnn import MetricMatrix, TripletSet
 from dnt.qq import RASTER_SIZE, QQPoints, QQRaster, qq_points
 from dnt.sampling import (
@@ -444,7 +444,7 @@ class TestSharedZScores:
         x = sample(case_spec(case), n, 500 + case)
         row = _z_scores(x.values[np.newaxis, :], ascending=True)[0]
         assert qq_points(x).empirical.tobytes() == row.tobytes()
-        assert extract_raw(x).values.tobytes() == row.tobytes()
+        assert extract_raw(x).tobytes() == row.tobytes()
         unsorted = _z_scores(x.values[np.newaxis, :])[0]
         assert standardize(x).values.tobytes() == unsorted.tobytes()
         assert np.sort(unsorted).tobytes() == row.tobytes()
@@ -505,10 +505,6 @@ ARRAY_FIELDS = {
         {"pixels": np.full((RASTER_SIZE, RASTER_SIZE), 0.25)},
         lambda a: QQRaster(a["pixels"], (0.0, 1.0)),
     ),
-    "FeatureVector": (
-        {"values": np.array([1.0, 2.0])},
-        lambda a: FeatureVector(a["values"], "RawOrder"),
-    ),
     "SelectionModel": (
         {"scores": np.array([3.0, 1.0, 2.0]), "mask": np.array([0, 2])},
         lambda a: SelectionModel(a["scores"], a["mask"]),
@@ -523,7 +519,7 @@ ARRAY_FIELDS = {
         _dnt_model,
     ),
 }
-INDEX_FIELDS = {"selected", "mask", "pairs", "triplets"}
+INDEX_FIELDS = {"mask", "pairs", "triplets"}
 
 
 class TestArrayRule:
