@@ -327,7 +327,7 @@ def calibrate_cutoff(
         raise InvalidArgumentError("calibration needs at least 100 replicates")
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError("alpha must be in (0, 1)")
-    scheme = SeedScheme(seed)
+    scheme = SeedScheme(_seed(seed, "seed"))
     kernel = getattr(statistic_fn, "calibration_rows", None)
     values = np.empty(reps)
     for start, block in _chunks(case_spec(_NULL_CASE), reps, n, scheme, "calibrate"):

@@ -94,7 +94,6 @@ class TripletSet:
 
     pairs: np.ndarray
     triplets: np.ndarray
-    k: int
 
     def __post_init__(self) -> None:
         pairs = _frozen(self, "pairs", _array(self.pairs, "pairs", np.int64, ndim=2))
@@ -103,8 +102,6 @@ class TripletSet:
             raise InvalidArgumentError("pairs must be a nonempty (P, 2) index array")
         if triplets.shape[1] != 3:
             raise InvalidArgumentError("triplets must be a (T, 3) index array")
-        if self.k < 1:
-            raise InvalidArgumentError("k must be at least 1")
         if pairs.min() < 0 or triplets.min(initial=0) < 0:
             raise InvalidArgumentError("pair and triplet indices must be nonnegative")
         if np.any(pairs[:, 0] == pairs[:, 1]) or np.any(triplets[:, 0] == triplets[:, 2]):
@@ -219,7 +216,7 @@ def build_triplets(features: np.ndarray, labels: np.ndarray, k: int) -> TripletS
         triplets.append(np.column_stack([np.full_like(j_col, i), j_col, np.tile(impostors, k)]))
     # Drop the per-focal pieces before TripletSet copies and checks the whole.
     pairs, triplets = np.concatenate(pairs), np.concatenate(triplets)
-    return TripletSet(pairs, triplets, k)
+    return TripletSet(pairs, triplets)
 
 
 def _project_psd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from .errors import ConfigError, FormatError, InvalidArgumentError, ModelMismatc
 from .features import _image_grid_rows
 from .imagesim import METRIC_NAMES, SimilarityReference, _SimilarityStatistic
 from .qq import _render_rows, qq_points, rasterize
-from .sampling import Sample, SeedScheme, _as_values, _integer, _seed, _z_scores, case_spec
+from .sampling import Sample, SeedScheme, _as_values, _finite, _integer, _seed, _z_scores, case_spec
 
 __all__ = [
     "METHOD_NAMES",
@@ -92,25 +92,22 @@ class RunConfig:
             raise ConfigError("calibration_reps must be at least 100")
         for name in methods:  # a run that cannot train fails here, before any calibration
             if name in _EXTRACTORS:
-                _train_config(self, name)
+                self.train_config(name)
 
-    def resolved_train(self) -> TrainConfig:
-        """Training config with n forced and the seed inherited if unset."""
-        cfg = self.train
-        if cfg.n != self.n:
-            cfg = replace(cfg, n=self.n)
-        if cfg.master_seed is None:
-            cfg = replace(cfg, master_seed=self.master_seed)
-        return cfg
-
-
-def _train_config(cfg: RunConfig, name: str) -> TrainConfig:
-    """The training config of DNT method name in run cfg."""
-    return replace(cfg.resolved_train(), extractor=_EXTRACTORS[name])
+    def train_config(self, name: str) -> TrainConfig:
+        """The train block of DNT method name: the run's n, its extractor, an unset seed inherited."""
+        if name not in _EXTRACTORS:
+            raise ConfigError(f"{name} is not a trained method; use DNT-raw or DNT-image")
+        seed = self.master_seed if self.train.master_seed is None else self.train.master_seed
+        return replace(self.train, n=self.n, extractor=_EXTRACTORS[name], master_seed=seed)
 
 
 class MethodBank:
-    """Calibrated statistic methods plus trained models for samples of size n, built once."""
+    """Calibrated statistic methods plus trained models for samples of size n, built once.
+
+    Each untrained method takes a finite cutoff and each DNT method a
+    model for n; PSNR and SSIM compare with the ideal raster for n.
+    """
 
     def __init__(
         self,
@@ -118,19 +115,27 @@ class MethodBank:
         n: int,
         cutoffs: dict[str, float],
         models: dict[str, DNTModel],
-        reference: SimilarityReference | None,
     ):
-        for name, model in models.items():
-            if (model.n, model.extractor_id) != (n, _EXTRACTORS.get(name)):
+        n = _integer(n, "n")
+        trained = [name for name in methods if name in _EXTRACTORS]
+        untrained = [name for name in methods if name not in trained]
+        for name in untrained:
+            _finite(cutoffs.get(name), f"{name} cutoff")
+        for name in trained:
+            model = models.get(name)
+            if model is None or (model.n, model.extractor_id) != (n, _EXTRACTORS[name]):
+                got = "none" if model is None else f"a {model.extractor_id} model for n={model.n}"
                 raise InvalidArgumentError(
-                    f"{name} needs a {_EXTRACTORS.get(name)} model for n={n}, got a "
-                    f"{model.extractor_id} model for n={model.n}"
+                    f"{name} needs a {_EXTRACTORS[name]} model for n={n}, got {got}"
                 )
+        stray = ", ".join(sorted({*cutoffs}.difference(untrained) | {*models}.difference(trained)))
+        if stray:
+            raise InvalidArgumentError(f"no bank method takes the cutoff or model of {stray}")
         self.methods = methods
         self.n = n
         self.cutoffs = cutoffs
         self.models = models
-        self.reference = reference
+        self.reference = SimilarityReference.ideal(n) if set(methods) & set(METRIC_NAMES) else None
 
     def cutoff(self, name: str) -> float:
         """The value above which method name rejects."""
@@ -214,21 +219,18 @@ def build_methods(cfg: RunConfig) -> MethodBank:
     """Train every DNT variant and calibrate every statistic in cfg, all at cfg.train.alpha."""
     cutoffs: dict[str, float] = {}
     models: dict[str, DNTModel] = {}
-    reference = None
-    if any(name in METRIC_NAMES for name in cfg.methods):
-        reference = SimilarityReference.ideal(cfg.n)
     for name in cfg.methods:
         if name in _EXTRACTORS:
-            models[name] = train(_train_config(cfg, name))
+            models[name] = train(cfg.train_config(name))
         else:
             cutoffs[name] = calibrate_cutoff(
-                null_statistic(name, cfg.n, reference),
+                null_statistic(name, cfg.n),
                 cfg.n,
                 cfg.calibration_reps,
                 alpha=cfg.train.alpha,
                 seed=cfg.master_seed,
             )
-    return MethodBank(cfg.methods, cfg.n, cutoffs, models, reference)
+    return MethodBank(cfg.methods, cfg.n, cutoffs, models)
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,6 @@ class PowerTable:
     """Per-case rejection fractions per method, plus the H1-case mean."""
 
     methods: tuple[str, ...]
-    labels: dict[int, str]
     fractions: dict[int, dict[str, float]]
     mean_row: dict[str, float]
     reps: int | None = None
@@ -248,20 +249,17 @@ class PowerTable:
             raise InvalidArgumentError("methods must not repeat")
         if tuple(sorted(self.fractions)) != _CASE_IDS:
             raise InvalidArgumentError("table must cover exactly cases 1..15")
-        if len(self.labels) != len(_CASE_IDS):
-            raise InvalidArgumentError("labels must cover exactly cases 1..15")
-        for case_id in _CASE_IDS:
-            label = case_spec(case_id).label
-            if self.labels.get(case_id) != label:
-                raise InvalidArgumentError(
-                    f"case {case_id} label must be {label!r}, got {self.labels.get(case_id)!r}"
-                )
         rows = [(f"case {case_id}", row) for case_id, row in self.fractions.items()]
         for where, row in [*rows, ("mean", self.mean_row)]:
             if set(row) != set(self.methods):
                 raise InvalidArgumentError(f"{where} row methods mismatch")
             if not all(0.0 <= value <= 1.0 for value in row.values()):
                 raise InvalidArgumentError(f"{where} row fractions must lie in [0, 1]")
+
+    @property
+    def labels(self) -> dict[int, str]:
+        """Each case's benchmark label, as the table's label column reads."""
+        return {case_id: case_spec(case_id).label for case_id in _CASE_IDS}
 
 
 def run_power_study(cfg: RunConfig, bank: MethodBank | None = None) -> PowerTable:
@@ -292,10 +290,8 @@ def run_power_study(cfg: RunConfig, bank: MethodBank | None = None) -> PowerTabl
         / len(_H1_CASE_IDS)
         for name in cfg.methods
     }
-    labels = {case_id: case_spec(case_id).label for case_id in _CASE_IDS}
     return PowerTable(
         methods=tuple(cfg.methods),
-        labels=labels,
         fractions=fractions,
         mean_row=mean_row,
         reps=cfg.reps,
@@ -310,10 +306,10 @@ def emit_table(table: PowerTable, format: str = "csv") -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(["case", "label", *table.methods])
-        for case_id in _CASE_IDS:
+        for case_id, label in table.labels.items():
             row = table.fractions[case_id]
             writer.writerow(
-                [case_id, table.labels[case_id]]
+                [case_id, label]
                 + [f"{row[name]:.3f}" for name in table.methods]
             )
         writer.writerow(
@@ -324,10 +320,10 @@ def emit_table(table: PowerTable, format: str = "csv") -> str:
         header = "| Case | Label | " + " | ".join(table.methods) + " |"
         rule = "|---|---|" + "|".join("---" for _ in table.methods) + "|"
         lines = [header, rule]
-        for case_id in _CASE_IDS:
+        for case_id, label in table.labels.items():
             row = table.fractions[case_id]
             cells = " | ".join(f"{row[name]:.3f}" for name in table.methods)
-            lines.append(f"| {case_id} | {table.labels[case_id]} | {cells} |")
+            lines.append(f"| {case_id} | {label} | {cells} |")
         cells = " | ".join(f"{table.mean_row[name]:.3f}" for name in table.methods)
         lines.append(f"| Mean |  | {cells} |")
         return "\n".join(lines) + "\n"
@@ -353,7 +349,6 @@ def parse_table(text: str) -> PowerTable:
             f"power table: expected {len(_CASE_IDS) + 1} data rows, got {len(body)}"
         )
     fractions: dict[int, dict[str, float]] = {}
-    labels: dict[int, str] = {}
     for row in body[:-1]:
         if len(row) != 2 + len(methods):
             raise FormatError("power table: wrong column count in a case row")
@@ -364,7 +359,11 @@ def parse_table(text: str) -> PowerTable:
             raise FormatError(f"power table: malformed numbers in case row {row[0]!r}") from None
         if row[0] != str(case_id):
             raise FormatError(f"power table: case cell {row[0]!r} is not written as a case id")
-        labels[case_id] = row[1]
+        label = case_spec(case_id).label if case_id in _CASE_IDS else row[1]
+        if row[1] != label:
+            raise FormatError(
+                f"power table: case {case_id} label must be {label!r}, got {row[1]!r}"
+            )
         fractions[case_id] = dict(zip(methods, values))
     mean = body[-1]
     if mean[:2] != ["mean", ""] or len(mean) != 2 + len(methods):
@@ -374,6 +373,6 @@ def parse_table(text: str) -> PowerTable:
     except ValueError:
         raise FormatError("power table: malformed numbers in mean row") from None
     try:
-        return PowerTable(methods=methods, labels=labels, fractions=fractions, mean_row=mean_row)
+        return PowerTable(methods=methods, fractions=fractions, mean_row=mean_row)
     except InvalidArgumentError as exc:
         raise FormatError(f"power table: {exc}") from None

@@ -141,11 +141,9 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class Sample:
-    """An observed vector plus optional provenance (spec and seed)."""
+    """An observed vector of finite values."""
 
     values: np.ndarray
-    spec: DistributionSpec | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         _frozen(self, "values", _as_values(self.values))
@@ -371,7 +369,7 @@ def sample(spec: DistributionSpec, n: int, seed: int | np.ndarray) -> Sample | n
     draw = _LAWS[spec.kind][3]
     if not isinstance(seed, np.ndarray):
         seed = _seed(seed, "seed")
-        return Sample(draw(np.random.Generator(np.random.PCG64(seed)), spec.params, n), spec, seed)
+        return Sample(draw(np.random.Generator(np.random.PCG64(seed)), spec.params, n))
     if seed.dtype != np.uint64 or seed.ndim != 1:
         raise InvalidArgumentError("a seed block must be a 1-D uint64 array")
     bits = np.random.PCG64(0)
@@ -459,9 +457,7 @@ def _z_scores(x: np.ndarray, ascending: bool = False) -> np.ndarray:
 
 def standardize(x: Sample | np.ndarray) -> Sample:
     """Center and scale to mean 0, population (1/n) standard deviation 1."""
-    spec = x.spec if isinstance(x, Sample) else None
-    seed = x.seed if isinstance(x, Sample) else None
-    return Sample(_z_scores(_as_values(x)), spec=spec, seed=seed)
+    return Sample(_z_scores(_as_values(x)))
 
 
 def sample_moments(x: Sample | np.ndarray) -> tuple[float, float, float, float]:

@@ -286,7 +286,7 @@ def test_determinism_and_persistence(tmp_path, capsys) -> None:
     csv_second = emit_table(run_power_study(cfg), "csv")
     csv_ok = csv_first == csv_second
 
-    model = train(cfg.resolved_train())
+    model = train(cfg.train_config("DNT-raw"))
     first_path = tmp_path / "model.json"
     second_path = tmp_path / "model-again.json"
     save_model(model, str(first_path))

@@ -516,6 +516,11 @@ class TestCalibrateCommand:
             assert name in err
             assert err.endswith("valid names are KS, AD, JB, GLB, GG, BS, PSNR, SSIM\n")
 
+    def test_seed_outside_64_bits_names_the_seed_flag(self, capsys):
+        """The flag is --seed; the message used to name master_seed."""
+        assert entrypoint(["calibrate", "--stat", "KS", "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must fit in 64 unsigned bits\n"
+
     def test_thin_calibration_is_a_usage_error(self):
         """The minimum replicate count is enforced."""
         assert entrypoint(["calibrate", "--stat", "KS", "--reps", "99"]) == EXIT_USAGE

@@ -601,6 +601,12 @@ class TestCalibrateCutoff:
         with pytest.raises(InvalidArgumentError, match="must be an integer"):
             calibrate_cutoff(ks_statistic, n, reps, 0.05, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 0.5])
+    def test_seed_errors_name_the_seed_argument(self, seed):
+        """The argument is seed; its errors used to name the scheme's master_seed."""
+        with pytest.raises(InvalidArgumentError, match="^seed must"):
+            calibrate_cutoff(ks_statistic, 20, 100, seed=seed)
+
     def test_reproducible_for_a_real_statistic(self):
         """Equal seeds give bit-equal cutoffs."""
         a = calibrate_cutoff(ks_statistic, 30, 200, 0.05, seed=11)

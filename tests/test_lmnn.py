@@ -116,7 +116,6 @@ class TestBuildTriplets:
         x = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]])
         labels = np.array([0, 0, 0, 1, 1, 1])
         ts = build_triplets(x, labels, k=1)
-        assert ts.k == 1
         pairs = {tuple(row) for row in ts.pairs}
         assert pairs == {(0, 1), (1, 0), (2, 1), (3, 4), (4, 3), (5, 4)}
         triplets = {tuple(row) for row in ts.triplets}
@@ -184,13 +183,13 @@ class TestBuildTriplets:
 
     def test_triplet_set_validation(self) -> None:
         with pytest.raises(InvalidArgumentError):
-            TripletSet(np.empty((0, 2), dtype=int), np.empty((0, 3), dtype=int), k=1)
+            TripletSet(np.empty((0, 2), dtype=int), np.empty((0, 3), dtype=int))
         with pytest.raises(InvalidArgumentError):
-            TripletSet(np.array([[0, 1]]), np.array([[0, 1]]), k=1)
+            TripletSet(np.array([[0, 1]]), np.array([[0, 1]]))
         with pytest.raises(InvalidArgumentError):  # a float index is not truncated
-            TripletSet(np.array([[0.9, 1.7]]), np.empty((0, 3), dtype=int), k=1)
+            TripletSet(np.array([[0.9, 1.7]]), np.empty((0, 3), dtype=int))
         with pytest.raises(InvalidArgumentError):
-            TripletSet(np.array([[0, 1]]), np.array([[0.0, 1.0, 2.5]]), k=1)
+            TripletSet(np.array([[0, 1]]), np.array([[0.0, 1.0, 2.5]]))
 
     # (pairs, triplets) that break the structure _Objective relies on;
     # before these checks each one was accepted or hit an IndexError.
@@ -208,12 +207,12 @@ class TestBuildTriplets:
     def test_triplet_set_refuses_a_broken_structure(self, structure: str) -> None:
         pairs, triplets = self.BROKEN_STRUCTURES[structure]
         with pytest.raises(InvalidArgumentError):
-            TripletSet(np.array(pairs), np.array(triplets), k=1)
+            TripletSet(np.array(pairs), np.array(triplets))
 
     @pytest.mark.parametrize("pairs, triplets", [([[0, 4]], [[0, 4, 1]]), ([[0, 1]], [[0, 1, 4]])])
     def test_objective_refuses_an_index_past_the_points(self, pairs, triplets) -> None:
         """Four points: index 4 is out of range, as a pair's target or as an impostor."""
-        ts = TripletSet(np.array(pairs), np.array(triplets), k=1)
+        ts = TripletSet(np.array(pairs), np.array(triplets))
         with pytest.raises(InvalidArgumentError, match="4 training points"):
             _Objective(np.arange(8.0).reshape(4, 2), ts, 1.0, 1.0)
 
@@ -303,7 +302,7 @@ def _isolated_point_problem() -> tuple[np.ndarray, np.ndarray]:
 
 def _shuffled(ts: TripletSet, seed: int) -> TripletSet:
     rng = np.random.default_rng(seed)
-    return TripletSet(rng.permutation(ts.pairs), rng.permutation(ts.triplets), ts.k)
+    return TripletSet(rng.permutation(ts.pairs), rng.permutation(ts.triplets))
 
 
 def _offset(seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -95,10 +95,7 @@ def one_statistic(bank: MethodBank, name: str, x) -> float:
 def minimal_table(value: float = 0.1) -> PowerTable:
     """A hand-built single-method table covering all fifteen cases."""
     fractions = {case_id: {"KS": value} for case_id in range(1, 16)}
-    labels = {case_id: case_spec(case_id).label for case_id in range(1, 16)}
-    return PowerTable(
-        methods=("KS",), labels=labels, fractions=fractions, mean_row={"KS": value}
-    )
+    return PowerTable(methods=("KS",), fractions=fractions, mean_row={"KS": value})
 
 
 class TestRunConfig:
@@ -158,21 +155,34 @@ class TestRunConfig:
         assert RunConfig(methods=("KS",), n=50).n == 50
 
     def test_resolved_train_forces_the_run_sample_size(self):
-        """The training config always trains at the run's n."""
+        """train_config always trains at the run's n."""
         cfg = RunConfig(methods=("KS",), n=40, train=TrainConfig(n=100, d=20))
-        assert cfg.resolved_train().n == 40
+        assert cfg.train_config("DNT-raw").n == 40
 
     def test_resolved_train_inherits_an_unset_seed(self):
         """An unset training seed falls back to the run's master seed."""
         cfg = RunConfig(methods=("KS",), master_seed=77)
-        assert cfg.resolved_train().master_seed == 77
+        assert cfg.train_config("DNT-raw").master_seed == 77
 
     def test_resolved_train_keeps_an_explicit_seed(self):
         """A training seed set by hand is left alone."""
         cfg = RunConfig(
             methods=("KS",), master_seed=77, train=TrainConfig(master_seed=3)
         )
-        assert cfg.resolved_train().master_seed == 3
+        assert cfg.train_config("DNT-raw").master_seed == 3
+
+    def test_dnt_image_trains_at_a_sample_size_below_d(self):
+        """Only RawOrder needs d <= n: the run's n is checked with each method's extractor."""
+        cfg = RunConfig(methods=("DNT-image",), n=50)
+        train_cfg = cfg.train_config("DNT-image")
+        assert (train_cfg.n, train_cfg.extractor, train_cfg.d) == (50, "ImageGrid", 100)
+        with pytest.raises(ConfigError, match="d must be in 1..50"):
+            RunConfig(methods=("DNT-raw",), n=50)
+
+    def test_train_config_names_a_trained_method(self):
+        """A statistic has no training config: a ConfigError, not a bare KeyError."""
+        with pytest.raises(ConfigError, match="KS is not a trained method"):
+            RunConfig(methods=("KS",)).train_config("KS")
 
 
 class TestPowerTable:
@@ -189,7 +199,6 @@ class TestPowerTable:
         with pytest.raises(InvalidArgumentError):
             PowerTable(
                 methods=table.methods,
-                labels=table.labels,
                 fractions=fractions,
                 mean_row=table.mean_row,
             )
@@ -202,7 +211,6 @@ class TestPowerTable:
         with pytest.raises(InvalidArgumentError):
             PowerTable(
                 methods=table.methods,
-                labels=table.labels,
                 fractions=fractions,
                 mean_row=table.mean_row,
             )
@@ -218,24 +226,22 @@ class TestPowerTable:
         """The mean row is checked as the case rows are."""
         table = minimal_table()
         with pytest.raises(InvalidArgumentError, match="mean row"):
-            PowerTable(table.methods, table.labels, table.fractions, mean_row={"KS": value})
+            PowerTable(table.methods, table.fractions, mean_row={"KS": value})
 
     def test_rejects_repeated_methods(self):
         """A method named twice would have one column overwrite the other."""
         table = minimal_table()
         fractions = {case_id: {"KS": 0.1} for case_id in table.fractions}
         with pytest.raises(InvalidArgumentError, match="must not repeat"):
-            PowerTable(("KS", "KS"), table.labels, fractions, mean_row={"KS": 0.1})
+            PowerTable(("KS", "KS"), fractions, mean_row={"KS": 0.1})
 
     def test_rejects_a_label_other_than_the_case_label(self):
-        """Each case row carries its benchmark label, as emit_table writes it."""
+        """Each case's label is its benchmark label, derived, so no table can carry another."""
         table = minimal_table()
-        for labels, message in [
-            ({**table.labels, 1: "Cauchy"}, "case 1 label must be 't\\(2\\)'"),
-            ({**table.labels, 16: "x"}, "labels must cover exactly"),
-        ]:
-            with pytest.raises(InvalidArgumentError, match=message):
-                PowerTable(table.methods, labels, table.fractions, table.mean_row)
+        assert table.labels == {case_id: case_spec(case_id).label for case_id in range(1, 16)}
+        labels = {**table.labels, 1: "Cauchy"}
+        with pytest.raises(TypeError, match="labels"):
+            PowerTable(table.methods, table.fractions, table.mean_row, labels=labels)
 
     def test_rejects_mean_row_mismatch(self):
         """The mean row must score exactly the declared methods."""
@@ -243,7 +249,6 @@ class TestPowerTable:
         with pytest.raises(InvalidArgumentError):
             PowerTable(
                 methods=table.methods,
-                labels=table.labels,
                 fractions=table.fractions,
                 mean_row={"AD": 0.1},
             )
@@ -278,7 +283,7 @@ class TestRunPowerStudy:
 
     def test_prebuilt_bank_must_match_the_config(self, ks_cfg):
         """A bank built for other methods is rejected up front."""
-        bank = MethodBank(("AD",), ks_cfg.n, {"AD": 1.0}, {}, None)
+        bank = MethodBank(("AD",), ks_cfg.n, {"AD": 1.0}, {})
         with pytest.raises(InvalidArgumentError):
             run_power_study(ks_cfg, bank)
 
@@ -292,7 +297,39 @@ class TestRunPowerStudy:
     def test_bank_refuses_a_model_of_another_kind_or_size(self, small_bank, name, n):
         """DNT-raw scores RawOrder features, and every model is for the bank's n."""
         with pytest.raises(InvalidArgumentError, match=name):
-            MethodBank((name,), n, {}, {name: small_bank.models["DNT-image"]}, None)
+            MethodBank((name,), n, {}, {name: small_bank.models["DNT-image"]})
+
+    @pytest.mark.parametrize(
+        "methods, n, cutoffs, model, message",
+        [
+            (("KS",), 50, {}, None, "KS cutoff must be a finite number"),
+            (("DNT-raw",), 50, {"DNT-raw": 1.0}, None, "DNT-raw needs a RawOrder model"),
+            (("KS",), 50, {"KS": float("nan")}, None, "KS cutoff must be a finite number"),
+            (("KS",), 50.0, {"KS": 1.0}, None, "n must be an integer"),
+            (("KS",), 50, {"KS": 1.0, "AD": 1.0}, None, "cutoff or model of AD"),
+            (("KS",), 50, {"KS": 1.0}, "DNT-raw", "cutoff or model of DNT-raw"),
+            (("KS", "DNT-raw"), 50, {"KS": 1.0, "DNT-raw": 1.0}, "DNT-raw", "of DNT-raw"),
+        ],
+        ids=["no-cutoff", "cutoff-for-a-model", "nan-cutoff", "float-n", "stray-cutoff",
+             "stray-model", "cutoff-beside-a-model"],
+    )
+    def test_bank_refuses_a_method_set_it_cannot_score(
+        self, small_bank, methods, n, cutoffs, model, message
+    ):
+        """Each such bank used to construct, then raise a bare KeyError or never reject."""
+        models = {} if model is None else {model: small_bank.models[model]}
+        with pytest.raises(InvalidArgumentError, match=message):
+            MethodBank(methods, n, cutoffs, models)
+
+    def test_hand_built_bank_scores_like_the_built_one(self, small_bank):
+        """The PSNR/SSIM reference is derived from n, so the four values make the same bank."""
+        bank = MethodBank(small_bank.methods, small_bank.n, small_bank.cutoffs, small_bank.models)
+        assert bank.methods == METHOD_NAMES
+        for chunk in case_chunks(5):
+            got, want = bank.statistic_rows(chunk), small_bank.statistic_rows(chunk)
+            assert all(got[name].tobytes() == want[name].tobytes() for name in METHOD_NAMES)
+            for x in chunk[:8]:
+                assert bank.decide(x) == small_bank.decide(x)
 
     def test_decide_refuses_a_sample_of_another_size(self, ks_cfg):
         """decide refuses what dnt_test refuses: a sample of another n."""
@@ -368,9 +405,9 @@ class TestBlockScoring:
     def test_constant_row_raises_what_decide_raises(self, small_bank, name):
         """One constant row refuses the chunk with decide's error type for that row."""
         methods = METHOD_NAMES if name == "all" else (name,)
-        bank = MethodBank(
-            methods, small_bank.n, small_bank.cutoffs, small_bank.models, small_bank.reference
-        )
+        cutoffs = {k: v for k, v in small_bank.cutoffs.items() if k in methods}
+        models = {k: v for k, v in small_bank.models.items() if k in methods}
+        bank = MethodBank(methods, small_bank.n, cutoffs, models)
         block = np.concatenate([case_chunks(15)[1]] * 3)
         block[3] = 2.5
         with pytest.raises(DntError) as one:

@@ -280,13 +280,11 @@ class TestSample:
     """Drawing values and the Sample container."""
 
     def test_reproducible_and_tagged(self) -> None:
-        """Same (spec, n, seed) gives identical values with provenance."""
+        """Same (spec, n, seed) gives identical values."""
         spec = case_spec(7)
         a = sample(spec, 50, 123)
         b = sample(spec, 50, 123)
         assert np.array_equal(a.values, b.values)
-        assert a.spec == spec
-        assert a.seed == 123
 
     def test_values_read_only(self) -> None:
         """Sample values cannot be mutated in place."""
@@ -316,7 +314,8 @@ class TestSample:
 
     def test_accepts_both_ends_of_the_seed_range(self) -> None:
         for seed in (0, 2**64 - 1):
-            assert sample(case_spec(15), 5, seed).seed == seed
+            want = np.random.Generator(np.random.PCG64(seed)).normal(0.0, 1.0, 5)
+            assert sample(case_spec(15), 5, seed).values.tobytes() == want.tobytes()
 
     def test_sample_rejects_nonfinite_container(self) -> None:
         with pytest.raises(InvalidArgumentError):
@@ -512,7 +511,7 @@ ARRAY_FIELDS = {
     "MetricMatrix": ({"matrix": np.diag([2.0, 1.0])}, lambda a: MetricMatrix(a["matrix"])),
     "TripletSet": (
         {"pairs": np.array([[0, 1], [1, 0]]), "triplets": np.array([[0, 1, 2]])},
-        lambda a: TripletSet(a["pairs"], a["triplets"], k=1),
+        lambda a: TripletSet(a["pairs"], a["triplets"]),
     ),
     "DNTModel": (
         {"centroid": np.array([0.5, -0.5]), "null_distances": np.arange(20.0)},
