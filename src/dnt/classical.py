@@ -13,7 +13,8 @@ array that works along the last axis. ``ks_statistic`` and its
 siblings run it on one validated sample as a one-row array, and each
 carries it (on |value| for two-sided BS) as its ``calibration_rows``
 attribute, which ``calibrate_cutoff`` runs on chunks of null draws and
-``functools.wraps`` copies onto any wrapper. A row's value never
+``functools.wraps`` copies onto any wrapper. ``_statistic`` registers
+each statistic once, at its definition. A row's value never
 depends on the rows beside it: rows are summed with ``np.add.reduce``
 along the contiguous last axis, pairwise exactly as a 1-D vector is
 (the z-score and moment kernels are ``sampling``'s), and the JB, GG
@@ -178,16 +179,10 @@ def _bs_rows(x: np.ndarray) -> np.ndarray:
     )
 
 
-# name -> (row kernel, rejection direction)
-_STATISTICS = {
-    "KS": (_ks_rows, "reject-large"),
-    "AD": (_ad_rows, "reject-large"),
-    "JB": (_jb_rows, "reject-large"),
-    "GLB": (_glb_rows, "reject-large"),
-    "GG": (_gg_rows, "reject-large"),
-    "BS": (_bs_rows, "reject-two-sided"),
-}
-STATISTIC_NAMES = tuple(_STATISTICS)
+# The registry, filled by ``_statistic`` as each public function is
+# defined: name -> (row kernel, rejection direction), and name -> function.
+_STATISTICS: dict[str, tuple] = {}
+_BY_NAME: dict[str, object] = {}
 
 
 def _single(name: str, x: Sample | np.ndarray) -> TestStatistic:
@@ -196,23 +191,25 @@ def _single(name: str, x: Sample | np.ndarray) -> TestStatistic:
     return TestStatistic(name, float(kernel(_as_values(x)[np.newaxis, :])[0]))
 
 
-def _calibrated(name: str):
-    """Decorator attaching ``calibration_rows``: each row's ``calibration_value`` under name.
+def _statistic(name: str, kernel, direction: str = "reject-large"):
+    """Decorator registering statistic name's row kernel, direction and public function.
 
-    A bad row raises what the one-sample statistic raises: InsufficientDataError
-    on zero spread, InvalidArgumentError on a non-finite value.
+    It attaches ``calibration_rows``, each row's ``calibration_value`` under name;
+    a bad row raises what the one-sample statistic raises: InsufficientDataError on
+    zero spread, InvalidArgumentError on a non-finite value.
     """
-    kernel, direction = _STATISTICS[name]
 
     def calibration_rows(rows: np.ndarray) -> np.ndarray:
         values = _array(kernel(rows), "statistic value")
         return np.abs(values) if direction == "reject-two-sided" else values
 
-    def attach(fn):
+    def register(fn):
         fn.calibration_rows = calibration_rows
+        _STATISTICS[name] = (kernel, direction)
+        _BY_NAME[name] = fn
         return fn
 
-    return attach
+    return register
 
 
 def _check_u(u: np.ndarray) -> np.ndarray:
@@ -247,25 +244,25 @@ def glb_from_u(u: np.ndarray) -> float:
     return float(_glb_from_logs(np.log(u), np.log1p(-u)))
 
 
-@_calibrated("KS")
+@_statistic("KS", _ks_rows)
 def ks_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Largest vertical gap between the fitted normal CDF and the EDF."""
     return _single("KS", x)
 
 
-@_calibrated("AD")
+@_statistic("AD", _ad_rows)
 def ad_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Quadratic EDF statistic with extra weight in the tails."""
     return _single("AD", x)
 
 
-@_calibrated("JB")
+@_statistic("JB", _jb_rows)
 def jb_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Moment statistic (n/6)(S^2 + (K-3)^2/4) from 1/n moments."""
     return _single("JB", x)
 
 
-@_calibrated("GLB")
+@_statistic("GLB", _glb_rows)
 def glb_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Order-statistics statistic weighting both CDF tails per rank.
 
@@ -276,7 +273,7 @@ def glb_statistic(x: Sample | np.ndarray) -> TestStatistic:
     return _single("GLB", x)
 
 
-@_calibrated("GG")
+@_statistic("GG", _gg_rows)
 def gg_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Moment statistic scaled by a robust spread estimate.
 
@@ -286,7 +283,7 @@ def gg_statistic(x: Sample | np.ndarray) -> TestStatistic:
     return _single("GG", x)
 
 
-@_calibrated("BS")
+@_statistic("BS", _bs_rows, "reject-two-sided")
 def bs_statistic(x: Sample | np.ndarray) -> TestStatistic:
     """Kurtosis z-statistic from the log ratio of sd to mean deviation.
 
@@ -296,14 +293,7 @@ def bs_statistic(x: Sample | np.ndarray) -> TestStatistic:
     return _single("BS", x)
 
 
-_BY_NAME = {
-    "KS": ks_statistic,
-    "AD": ad_statistic,
-    "JB": jb_statistic,
-    "GLB": glb_statistic,
-    "GG": gg_statistic,
-    "BS": bs_statistic,
-}
+STATISTIC_NAMES = tuple(_BY_NAME)
 
 
 def statistic_fn(name: str):

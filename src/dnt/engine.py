@@ -51,6 +51,7 @@ from .sampling import (
     DistributionSpec,
     Sample,
     SeedScheme,
+    _NULL_CASE,
     _array,
     _as_values,
     _finite,
@@ -81,7 +82,6 @@ __all__ = [
 
 MODEL_FORMAT_VERSION = "dnt-model-v2"
 
-_NULL_CASE = 15
 # Values per chunk of replicates: 64 KB of float64, 81 rows at n=100.
 # Larger chunks were no faster and raised peak memory, since the
 # kernels' temporaries are several chunks' worth.
@@ -511,15 +511,17 @@ def save_model(model: DNTModel, path: str) -> None:
 
 
 class _Reader:
-    """Typed field access over a parsed payload, with located errors."""
+    """Typed field access over a parsed payload, with located errors; it notes each key read."""
 
     def __init__(self, payload: dict, where: str):
         if not isinstance(payload, dict):
             raise FormatError(f"{where}: expected an object")
         self.payload = payload
         self.where = where
+        self.read: set[str] = set()
 
     def get(self, key: str, kind: type):
+        self.read.add(key)
         if key not in self.payload:
             raise FormatError(f"{self.where}.{key}: missing field")
         value = self.payload[key]
@@ -553,6 +555,15 @@ class _Reader:
         if dtype.kind == "f" and not np.all(np.isfinite(values)):
             raise FormatError(f"{where}: holds a NaN or infinite value")
         return values
+
+    def refuse_unread(self) -> None:
+        """Refuse any key that was not read: ``save_model`` writes none."""
+        unknown = sorted(self.payload.keys() - self.read)
+        if unknown:
+            raise FormatError(
+                f"{self.where}: unknown key(s) {', '.join(unknown)}; "
+                f"valid keys are {', '.join(sorted(self.read))}"
+            )
 
 
 def _reject_constant(token: str):
@@ -602,4 +613,6 @@ def load_model(path: str) -> DNTModel:
         raise FormatError(f"model: {exc}") from None
     if cutoff != model.cutoff:
         raise FormatError("model: cutoff is not the (1-alpha) order statistic of null_distances")
+    root.refuse_unread()
+    selection_reader.refuse_unread()
     return model

@@ -28,11 +28,14 @@ from .engine import (
     dnt_test,
     train,
 )
-from .errors import ConfigError, FormatError, InvalidArgumentError, ModelMismatchError
+from .errors import ConfigError, DntError, FormatError, InvalidArgumentError, ModelMismatchError
 from .features import _image_grid_rows
 from .imagesim import METRIC_NAMES, SimilarityReference, _SimilarityStatistic
 from .qq import _render_rows, qq_points, rasterize
-from .sampling import Sample, SeedScheme, _as_values, _finite, _integer, _seed, _z_scores, case_spec
+from .sampling import (
+    _CASE_TABLE, _NULL_CASE, Sample, SeedScheme, _array, _as_values, _finite, _integer, _seed,
+    _z_scores, case_spec,
+)
 
 __all__ = [
     "METHOD_NAMES",
@@ -46,14 +49,29 @@ __all__ = [
     "parse_table",
 ]
 
-METHOD_NAMES = ("DNT-raw", "DNT-image", *STATISTIC_NAMES, *METRIC_NAMES)
-
 # The trained methods and the feature extractor each one learns from;
 # every other method is a statistic calibrated by null_statistic.
 _EXTRACTORS = {"DNT-raw": "RawOrder", "DNT-image": "ImageGrid"}
 
-_CASE_IDS = tuple(range(1, 16))
-_H1_CASE_IDS = tuple(range(1, 15))
+METHOD_NAMES = (*_EXTRACTORS, *STATISTIC_NAMES, *METRIC_NAMES)
+
+_CASE_IDS = tuple(_CASE_TABLE)
+_H1_CASE_IDS = tuple(case_id for case_id in _CASE_IDS if case_id != _NULL_CASE)
+
+
+def _methods(names, error: type[DntError] = InvalidArgumentError) -> tuple[str, ...]:
+    """names as a tuple, if nonempty, each in METHOD_NAMES and none repeated; else error."""
+    methods = tuple(names)
+    if not methods:
+        raise error("methods must be nonempty")
+    unknown = [str(m) for m in methods if m not in METHOD_NAMES]
+    if unknown:
+        raise error(
+            f"unknown methods {', '.join(unknown)}; valid methods are {', '.join(METHOD_NAMES)}"
+        )
+    if len(set(methods)) != len(methods):
+        raise error("methods must not repeat")
+    return methods
 
 
 @dataclass(frozen=True)
@@ -69,18 +87,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        methods = tuple(self.methods)
-        if not methods:
-            raise ConfigError("methods must be nonempty")
-        unknown = [m for m in methods if m not in METHOD_NAMES]
-        if unknown:
-            raise ConfigError(
-                f"unknown methods {', '.join(unknown)}; valid methods are "
-                f"{', '.join(METHOD_NAMES)}"
-            )
-        if len(set(methods)) != len(methods):
-            raise ConfigError("methods must not repeat")
-        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "methods", _methods(self.methods, ConfigError))
         for name in ("reps", "n", "calibration_reps"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
         object.__setattr__(self, "master_seed", _seed(self.master_seed, "master_seed", ConfigError))
@@ -90,14 +97,14 @@ class RunConfig:
             raise ConfigError("n must be at least 3")
         if self.calibration_reps < 100:
             raise ConfigError("calibration_reps must be at least 100")
-        for name in methods:  # a run that cannot train fails here, before any calibration
+        for name in self.methods:  # a run that cannot train fails here, before any calibration
             if name in _EXTRACTORS:
                 self.train_config(name)
 
     def train_config(self, name: str) -> TrainConfig:
         """The train block of DNT method name: the run's n, its extractor, an unset seed inherited."""
         if name not in _EXTRACTORS:
-            raise ConfigError(f"{name} is not a trained method; use DNT-raw or DNT-image")
+            raise ConfigError(f"{name} is not a trained method; use {' or '.join(_EXTRACTORS)}")
         seed = self.master_seed if self.train.master_seed is None else self.train.master_seed
         return replace(self.train, n=self.n, extractor=_EXTRACTORS[name], master_seed=seed)
 
@@ -116,7 +123,9 @@ class MethodBank:
         cutoffs: dict[str, float],
         models: dict[str, DNTModel],
     ):
-        n = _integer(n, "n")
+        methods, n = _methods(methods), _integer(n, "n")
+        if n < 3:
+            raise InvalidArgumentError("n must be at least 3")
         trained = [name for name in methods if name in _EXTRACTORS]
         untrained = [name for name in methods if name not in trained]
         for name in untrained:
@@ -149,11 +158,7 @@ class MethodBank:
         ``statistic_fn``) whose calls perfbench's tracer counts, while
         ``statistic_rows`` gives the same statistics for a block.
         """
-        size = _as_values(x).size
-        if size != self.n:
-            raise ModelMismatchError(
-                f"methods were built for n={self.n}, got a sample of n={size}"
-            )
+        self._check_size(_as_values(x).size)
         out: dict[str, bool] = {}
         raster = None
         for name in self.methods:
@@ -169,6 +174,10 @@ class MethodBank:
                 out[name] = stat.calibration_value > self.cutoffs[name]
         return out
 
+    def _check_size(self, size: int) -> None:
+        if size != self.n:
+            raise ModelMismatchError(f"methods were built for n={self.n}, got a sample of n={size}")
+
     def statistic_rows(self, samples: np.ndarray) -> dict[str, np.ndarray]:
         """Each method's statistic of each row of a (rows, n) sample block.
 
@@ -178,17 +187,19 @@ class MethodBank:
         ``calibration_rows`` kernel. Row r's statistics are those that
         ``decide`` compares with ``cutoff`` for sample r, bit for bit,
         and a row that ``decide`` refuses makes the block raise the same
-        error type.
+        error type: the block is checked as ``decide`` checks a sample.
         """
+        samples = _array(samples, "sample values", ndim=2)
+        self._check_size(samples.shape[1])
         z = levels = None
         if any(name not in STATISTIC_NAMES for name in self.methods):
             z = _z_scores(samples, ascending=True)
-        if any(name in ("DNT-image", *METRIC_NAMES) for name in self.methods):
+        if any(name in METRIC_NAMES or _EXTRACTORS.get(name) == "ImageGrid" for name in self.methods):
             levels = _render_rows(z)[0]
         out: dict[str, np.ndarray] = {}
         for name in self.methods:
             if name in _EXTRACTORS:
-                features = z if name == "DNT-raw" else _image_grid_rows(levels)
+                features = z if _EXTRACTORS[name] == "RawOrder" else _image_grid_rows(levels)
                 m = self.models[name]
                 out[name] = _squared_distances(features, m.selection.mask, m.centroid, m.metric.matrix)
             elif name in METRIC_NAMES:
@@ -245,8 +256,7 @@ class PowerTable:
     master_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if len(set(self.methods)) != len(self.methods):
-            raise InvalidArgumentError("methods must not repeat")
+        object.__setattr__(self, "methods", _methods(self.methods))
         if tuple(sorted(self.fractions)) != _CASE_IDS:
             raise InvalidArgumentError("table must cover exactly cases 1..15")
         rows = [(f"case {case_id}", row) for case_id, row in self.fractions.items()]
@@ -270,7 +280,7 @@ def run_power_study(cfg: RunConfig, bank: MethodBank | None = None) -> PowerTabl
     """
     if bank is None:
         bank = build_methods(cfg)
-    elif tuple(bank.methods) != tuple(cfg.methods):
+    elif bank.methods != cfg.methods:
         raise InvalidArgumentError("prebuilt methods do not match cfg.methods")
     elif bank.n != cfg.n:
         raise InvalidArgumentError(f"prebuilt methods were built for n={bank.n}, not {cfg.n}")
@@ -291,7 +301,7 @@ def run_power_study(cfg: RunConfig, bank: MethodBank | None = None) -> PowerTabl
         for name in cfg.methods
     }
     return PowerTable(
-        methods=tuple(cfg.methods),
+        methods=cfg.methods,
         fractions=fractions,
         mean_row=mean_row,
         reps=cfg.reps,
@@ -341,8 +351,6 @@ def parse_table(text: str) -> PowerTable:
     if not rows or rows[0][:2] != ["case", "label"]:
         raise FormatError("power table: missing 'case,label,...' header")
     methods = tuple(rows[0][2:])
-    if not methods:
-        raise FormatError("power table: no method columns")
     body = rows[1:]
     if len(body) != len(_CASE_IDS) + 1:
         raise FormatError(

@@ -93,6 +93,8 @@ _CASE_TABLE: dict[int, tuple[str, tuple[float, ...], str]] = {
     14: ("ChiSquare", (20.0,), "ChiSq(20)"),
     15: ("Normal", (0.0, 1.0), "N(0,1)"),
 }
+# The null row: every calibration and training null pool draws from it.
+_NULL_CASE = 15
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,16 @@ class TestTestCommand:
         ) == EXIT_BAD_FORMAT
         assert "NaN" in capsys.readouterr().err
 
+    def test_model_key_that_save_never_writes_is_a_format_error(self, model_path, tmp_path, capsys):
+        """An extra top-level key in the model file exits 4 naming it; it used to load."""
+        payload = json.loads(model_path.read_text())
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(dict(payload, foo=1)))
+        data = tmp_path / "null.txt"
+        write_sample(data, case_id=15)
+        assert entrypoint(["test", "--model", str(model), "--data", str(data)]) == EXIT_BAD_FORMAT
+        assert "model: unknown key(s) foo; valid keys are " in capsys.readouterr().err
+
     def test_v1_model_is_refused_and_its_config_retrains_it(self, model_path, tmp_path, capsys):
         """A v1 file exits 4 naming both versions; `dnt train` on its config block rebuilds it."""
         payload = json.loads(model_path.read_text())

@@ -1002,6 +1002,23 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"model.{where}: not canonical base64 .*'8D9='"):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [("model", "foo", 1), ("model.selection", "bar", [1, 2])],
+        ids=["top-level", "selection"],
+    )
+    def test_a_key_save_model_never_writes_is_refused(self, model, tmp_path, where, key, value):
+        """Each used to load without error; the valid keys listed are the ones save_model writes."""
+        path = tmp_path / "model.json"
+        payload = _saved_payload(model, path)
+        node = payload if where == "model" else payload["selection"]
+        valid = ", ".join(sorted(node))
+        node[key] = value
+        path.write_text(json.dumps(payload))
+        message = rf"^{where}: unknown key\(s\) {key}; valid keys are {valid}$"
+        with pytest.raises(FormatError, match=message):
+            load_model(str(path))
+
     def test_v1_file_is_refused_with_a_retrain_hint(self, model, tmp_path):
         """A decimal-array v1 file is refused with a hint to retrain from its config."""
         path = tmp_path / "model.json"

@@ -10,7 +10,9 @@ desk-scale bank and power table.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -96,6 +98,48 @@ def minimal_table(value: float = 0.1) -> PowerTable:
     """A hand-built single-method table covering all fifteen cases."""
     fractions = {case_id: {"KS": value} for case_id in range(1, 16)}
     return PowerTable(methods=("KS",), fractions=fractions, mean_row={"KS": value})
+
+
+def roster_csv(methods: tuple[str, ...]) -> str:
+    """A table file written as emit_table writes one, with a 0.100 column per name in methods."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["case", "label", *methods])
+    for case_id in range(1, 16):
+        writer.writerow([case_id, case_spec(case_id).label, *["0.100"] * len(methods)])
+    writer.writerow(["mean", "", *["0.100"] * len(methods)])
+    return buffer.getvalue()
+
+
+# Each holder of a method list, the error it raises, and a call that builds it from a list.
+ROSTER_HOLDERS = {
+    "RunConfig": (ConfigError, lambda m: RunConfig(methods=m)),
+    "MethodBank": (InvalidArgumentError, lambda m: MethodBank(m, 50, dict.fromkeys(m, 1.0), {})),
+    "PowerTable": (
+        InvalidArgumentError,
+        lambda m: PowerTable(
+            m, {c: dict.fromkeys(m, 0.1) for c in range(1, 16)}, dict.fromkeys(m, 0.1)
+        ),
+    ),
+    "parse_table": (FormatError, lambda m: parse_table(roster_csv(m))),
+}
+
+
+@pytest.mark.parametrize("holder", ROSTER_HOLDERS)
+@pytest.mark.parametrize(
+    "methods, message",
+    [
+        ((), "methods must be nonempty"),
+        (("KS", "Foo"), "unknown methods Foo; valid methods are DNT-raw, DNT-image, KS, AD"),
+        (("KS", "KS"), "methods must not repeat"),
+    ],
+    ids=["empty", "unknown", "repeated"],
+)
+def test_one_roster_rule(holder, methods, message):
+    """Runs, banks and tables refuse the same method lists with the same words."""
+    error, build = ROSTER_HOLDERS[holder]
+    with pytest.raises(error, match=message):
+        build(methods)
 
 
 class TestRunConfig:
@@ -306,12 +350,13 @@ class TestRunPowerStudy:
             (("DNT-raw",), 50, {"DNT-raw": 1.0}, None, "DNT-raw needs a RawOrder model"),
             (("KS",), 50, {"KS": float("nan")}, None, "KS cutoff must be a finite number"),
             (("KS",), 50.0, {"KS": 1.0}, None, "n must be an integer"),
+            (("KS",), 2, {"KS": 1.0}, None, "n must be at least 3"),
             (("KS",), 50, {"KS": 1.0, "AD": 1.0}, None, "cutoff or model of AD"),
             (("KS",), 50, {"KS": 1.0}, "DNT-raw", "cutoff or model of DNT-raw"),
             (("KS", "DNT-raw"), 50, {"KS": 1.0, "DNT-raw": 1.0}, "DNT-raw", "of DNT-raw"),
         ],
-        ids=["no-cutoff", "cutoff-for-a-model", "nan-cutoff", "float-n", "stray-cutoff",
-             "stray-model", "cutoff-beside-a-model"],
+        ids=["no-cutoff", "cutoff-for-a-model", "nan-cutoff", "float-n", "n-below-3",
+             "stray-cutoff", "stray-model", "cutoff-beside-a-model"],
     )
     def test_bank_refuses_a_method_set_it_cannot_score(
         self, small_bank, methods, n, cutoffs, model, message
@@ -415,6 +460,24 @@ class TestBlockScoring:
         with pytest.raises(DntError) as whole:
             bank.statistic_rows(block)
         assert type(whole.value) is type(one.value)
+
+
+    @pytest.mark.parametrize("methods", [("KS", "SSIM"), ("PSNR", "SSIM")], ids=["wide", "nan"])
+    def test_a_block_decide_refuses_is_refused(self, small_bank, methods):
+        """A (4, 60) block at n=50 and a block with a NaN used to be scored without error."""
+        bank = MethodBank(methods, small_bank.n, {m: small_bank.cutoffs[m] for m in methods}, {})
+        chunk = case_chunks(15)[0]
+        if "KS" in methods:
+            block = np.hstack([chunk[:4], chunk[4:8, :10]])
+            error, message = ModelMismatchError, "built for n=50, got a sample of n=60"
+        else:
+            block = chunk[:4].copy()
+            block[1, 3] = np.nan
+            error, message = InvalidArgumentError, "sample values must be finite"
+        with pytest.raises(error, match=message):
+            bank.decide(block[1])
+        with pytest.raises(error, match=message):
+            bank.statistic_rows(block)
 
 
 class TestSimilarityNullStatistic:

@@ -1,9 +1,12 @@
-"""The package's public surface, read from its source with ast.
+"""The package's public surface, read from its source with ast, and its method registry.
 
 Three rules that a deleted name can break without failing any other test:
 - every name in a module's ``__all__`` exists in that module;
 - ``dnt/__init__.py`` re-exports only names in its source module's ``__all__``;
 - no module imports a name it never references.
+
+The registry tests pin the power table's column order and check that
+each registered statistic is one public, re-exported function.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import dnt
+from dnt import classical
+from dnt.power import METHOD_NAMES
 
 PACKAGE = Path(dnt.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
@@ -58,3 +63,23 @@ def test_every_imported_name_is_used(stem: str) -> None:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert unused == {}
+
+
+def test_method_roster_order() -> None:
+    """The power table's columns; before, only the desk CSV digest guarded this order."""
+    assert METHOD_NAMES == (
+        "DNT-raw", "DNT-image", "KS", "AD", "JB", "GLB", "GG", "BS", "PSNR", "SSIM"
+    )
+
+
+def test_statistic_registry_is_one_table() -> None:
+    """Kernels, functions and names hold the same statistics in the same order."""
+    assert tuple(classical._STATISTICS) == tuple(classical._BY_NAME) == classical.STATISTIC_NAMES
+
+
+@pytest.mark.parametrize("name", classical.STATISTIC_NAMES)
+def test_every_registered_statistic_is_public(name: str) -> None:
+    fn = classical._BY_NAME[name]
+    assert fn.__name__ in classical.__all__
+    assert getattr(classical, fn.__name__) is fn is getattr(dnt, fn.__name__)
+    assert classical.statistic_fn(name) is fn
