@@ -17,10 +17,18 @@ attribute, which ``calibrate_cutoff`` runs on chunks of null draws and
 each statistic once, at its definition. A row's value never
 depends on the rows beside it: rows are summed with ``np.add.reduce``
 along the contiguous last axis, pairwise exactly as a 1-D vector is
-(the z-score and moment kernels are ``sampling``'s), and the JB, GG
-and BS tails that take powers or logarithms run in Python floats,
-since numpy's vectorised ``**`` and ``log`` can round differently from
-the C library.
+(the z-score and moment kernels are ``sampling``'s).
+
+No value depends on the CPU's SIMD features. numpy's vectorised
+``**``, ``log`` and ``exp`` round with the SIMD path numpy dispatches
+to at run time, so the same input can give other bits with and without
+AVX-512. So the kernels never call them. Central moments are products:
+``sq = c * c`` once per kernel, then ``sq * c`` and ``sq * sq``. IEEE
+multiplication is correctly rounded, so these bits are the same on
+every CPU, and two multiplications are also much faster than numpy's
+``pow``. The JB, GG and BS tails, which take fractional powers and
+logarithms, run in Python floats, and so do the logarithms of the
+``_from_u`` forms.
 
 Tail terms use log Phi computed directly (never log(1 - Phi(z))), so
 extreme observations cannot underflow to log(0).
@@ -160,16 +168,17 @@ def _gg_rows(x: np.ndarray) -> np.ndarray:
     if (spread == 0.0).any():
         raise InsufficientDataError("degenerate sample: zero robust spread")
     centered = _centered(x)
+    sq = centered * centered
     return _per_row(
         lambda j, c3, c4: (n / 6.0) * (c3 / j**3) ** 2 + (n / 64.0) * (c4 / j**4 - 3.0) ** 2,
-        spread, _central_moment(centered, 3), _central_moment(centered, 4),
+        spread, _central_moment(sq * centered), _central_moment(sq * sq),
     )
 
 
 def _bs_rows(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     centered = _centered(x)
-    sigma = np.sqrt(_central_moment(centered, 2))
+    sigma = np.sqrt(_central_moment(centered * centered))
     tau = np.add.reduce(np.abs(centered), axis=-1) / n
     if (sigma == 0.0).any() or (tau == 0.0).any():
         raise InsufficientDataError("degenerate sample: zero spread")
@@ -223,6 +232,12 @@ def _check_u(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _u_logs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln u and ln(1 - u) of each checked entry, taken in Python floats."""
+    values = _check_u(u).tolist()
+    return np.array([math.log(v) for v in values]), np.array([math.log1p(-v) for v in values])
+
+
 def ks_from_u(u: np.ndarray) -> float:
     """D = max_i max(i/n - u_i, u_i - (i-1)/n) for ascending u."""
     return float(_ks_from_u_rows(_check_u(u)))
@@ -230,8 +245,7 @@ def ks_from_u(u: np.ndarray) -> float:
 
 def ad_from_u(u: np.ndarray) -> float:
     """A^2 = -n - (1/n) sum (2i-1)[ln u_i + ln(1 - u_{n+1-i})]."""
-    u = _check_u(u)
-    return float(_ad_from_logs(np.log(u), np.log1p(-u)))
+    return float(_ad_from_logs(*_u_logs(u)))
 
 
 def glb_from_u(u: np.ndarray) -> float:
@@ -240,8 +254,7 @@ def glb_from_u(u: np.ndarray) -> float:
     The rank weights pair the lower tail of each u with its rank and
     the upper tail with the mirrored rank (ascending order statistics).
     """
-    u = _check_u(u)
-    return float(_glb_from_logs(np.log(u), np.log1p(-u)))
+    return float(_glb_from_logs(*_u_logs(u)))
 
 
 @_statistic("KS", _ks_rows)

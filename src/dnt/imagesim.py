@@ -76,8 +76,12 @@ class SimilarityScore:
 
 
 def _kernel() -> np.ndarray:
-    offsets = np.arange(_WINDOW, dtype=float) - (_WINDOW // 2)
-    g = np.exp(-(offsets**2) / (2.0 * _SIGMA**2))
+    """The 11 normalised Gaussian taps, each exp taken by ``math.exp``.
+
+    numpy's vectorised ``np.exp`` rounds with the SIMD path it dispatches to.
+    """
+    offsets = [float(k - _WINDOW // 2) for k in range(_WINDOW)]
+    g = np.array([math.exp(-(k * k) / (2.0 * _SIGMA**2)) for k in offsets])
     return g / g.sum()
 
 
