@@ -14,7 +14,8 @@ Monte-Carlo loop (training, ``calibrate_cutoff`` and the power study)
 draws its replicates through ``_chunks``, a (rows, n) block at a time.
 Models persist as canonical JSON: scalars are JSON numbers, and every
 array is stored as exact binary, base64 of its little-endian float64 or
-int64 bytes, so a save/load round trip is bit-exact.
+int64 bytes, so a save/load round trip is bit-exact. ``_layout`` spells
+the format once: a file loads only if ``save_model`` writes it back.
 """
 
 from __future__ import annotations
@@ -462,17 +463,6 @@ def _decode(kind, value, where: str):
     return tuple(_decode(args[0], item, f"{where}[{i}]") for i, item in enumerate(value))
 
 
-def _noncanonical_key(canonical, raw, where: str) -> str | None:
-    """Path of the first value in raw that differs from its canonical form."""
-    if not (isinstance(canonical, dict) and isinstance(raw, dict)):
-        return None if canonical == raw else where
-    for key, value in canonical.items():
-        found = _noncanonical_key(value, raw.get(key, MISSING), f"{where}.{key}")
-        if found is not None:
-            return found
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 
@@ -481,89 +471,82 @@ def _noncanonical_key(canonical, raw, where: str) -> str | None:
 _FLOAT, _INT = np.dtype("<f8"), np.dtype("<i8")
 
 
-def _encode(values: np.ndarray, dtype: np.dtype) -> str:
-    """Base64 (RFC 4648, padded) of the array's bytes in dtype, row-major."""
-    raw = np.asarray(values, dtype=dtype).tobytes()
+def _encode(values: np.ndarray) -> str:
+    """Base64 (RFC 4648, padded) of a float array's <f8 bytes or an int array's <i8, row-major."""
+    raw = np.asarray(values, dtype=_FLOAT if values.dtype.kind == "f" else _INT).tobytes()
     return binascii.b2a_base64(raw, newline=False).decode("ascii")
 
 
-def save_model(model: DNTModel, path: str) -> None:
-    """Write the model as canonical JSON (sorted keys, binary arrays)."""
-    payload = {
+def _layout(model: DNTModel) -> dict:
+    """The model file's JSON object, with each array as itself: the one spelling of the format."""
+    return {
         "format": MODEL_FORMAT_VERSION,
         "extractor_id": model.extractor_id,
         "n": model.n,
         "alpha": model.alpha,
-        "selection": {
-            "scores": _encode(model.selection.scores, _FLOAT),
-            "mask": _encode(model.selection.mask, _INT),
-        },
-        "metric": _encode(model.metric.matrix, _FLOAT),
-        "centroid": _encode(model.centroid, _FLOAT),
-        "null_distances": _encode(model.null_distances, _FLOAT),
+        "selection": {"scores": model.selection.scores, "mask": model.selection.mask},
+        "metric": model.metric.matrix,
+        "centroid": model.centroid,
+        "null_distances": model.null_distances,
         "cutoff": model.cutoff,
         "config": config_to_dict(model.config),
     }
-    text = json.dumps(payload, sort_keys=True, allow_nan=False, separators=(",", ":"))
+
+
+def save_model(model: DNTModel, path: str) -> None:
+    """Write the model as canonical JSON (sorted keys, binary arrays)."""
+    text = json.dumps(
+        _layout(model), sort_keys=True, allow_nan=False, separators=(",", ":"), default=_encode
+    )
     with open(path, "w", encoding="ascii") as handle:
         handle.write(text)
         handle.write("\n")
 
 
-class _Reader:
-    """Typed field access over a parsed payload, with located errors; it notes each key read."""
+def _decode_array(payload: dict, where: str, dtype: np.dtype = _FLOAT) -> np.ndarray:
+    """A read-only view of the base64 array at dotted path where (the model types copy it)."""
+    text = payload
+    for key in where.split("."):
+        text = text.get(key) if isinstance(text, dict) else None
+    where = f"model.{where}"
+    if not isinstance(text, str):
+        raise FormatError(f"{where}: expected a base64 string of {dtype.str} values")
+    try:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise FormatError(f"{where}: not strict base64 ({exc})") from None
+    # Unused bits of a padded final quartet must be zero: its bytes re-encode to it.
+    tail, pad = text[-4:], text[-4:].count("=")
+    if pad and binascii.b2a_base64(raw[pad - 3 :], newline=False) != tail.encode():
+        raise FormatError(f"{where}: not canonical base64 (nonzero unused bits in {tail!r})")
+    if len(raw) % dtype.itemsize:
+        raise FormatError(
+            f"{where}: {len(raw)} bytes is not a whole number of {dtype.itemsize}-byte values"
+        )
+    values = np.frombuffer(raw, dtype=dtype)
+    if dtype.kind == "f" and not np.all(np.isfinite(values)):
+        raise FormatError(f"{where}: holds a NaN or infinite value")
+    return values
 
-    def __init__(self, payload: dict, where: str):
-        if not isinstance(payload, dict):
-            raise FormatError(f"{where}: expected an object")
-        self.payload = payload
-        self.where = where
-        self.read: set[str] = set()
 
-    def get(self, key: str, kind: type):
-        self.read.add(key)
-        if key not in self.payload:
-            raise FormatError(f"{self.where}.{key}: missing field")
-        value = self.payload[key]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-            raise FormatError(f"{self.where}.{key}: expected {kind.__name__}")
-        if kind is float and not math.isfinite(value):  # an overflowing literal such as 1e400
-            raise FormatError(f"{self.where}.{key}: expected a finite number, got {value!r}")
-        return value
+def _check_written(written, found, where: str) -> None:
+    """Refuse found, a file's parsed JSON, where it differs from written, save_model's layout.
 
-    def array(self, key: str, dtype: np.dtype = _FLOAT) -> np.ndarray:
-        """A read-only view of a base64 array field (the model types copy it); floats finite."""
-        where = f"{self.where}.{key}"
-        if not isinstance(self.payload.get(key, ""), str):
-            raise FormatError(f"{where}: expected a base64 string of {dtype.str} values")
-        text = self.get(key, str)
-        try:
-            raw = binascii.a2b_base64(text, strict_mode=True)
-        except ValueError as exc:  # binascii.Error, or non-ASCII text
-            raise FormatError(f"{where}: not strict base64 ({exc})") from None
-        # Unused bits of a padded final quartet must be zero: its bytes re-encode to it.
-        tail, pad = text[-4:], text[-4:].count("=")
-        if pad and binascii.b2a_base64(raw[pad - 3 :], newline=False) != tail.encode():
-            raise FormatError(f"{where}: not canonical base64 (nonzero unused bits in {tail!r})")
-        if len(raw) % dtype.itemsize:
-            raise FormatError(
-                f"{where}: {len(raw)} bytes is not a whole number of {dtype.itemsize}-byte values"
-            )
-        values = np.frombuffer(raw, dtype=dtype)
-        if dtype.kind == "f" and not np.all(np.isfinite(values)):
-            raise FormatError(f"{where}: holds a NaN or infinite value")
-        return values
+    Key sets are compared at every level and other values by repr, which
+    tells apart every two JSON values, 1 and 1.0 too. Arrays are skipped:
+    load_model compared them by their decode when it read them.
+    """
+    if isinstance(written, dict) and isinstance(found, dict):
+        for key in sorted(written.keys() | found.keys()):
+            _check_written(written.get(key, MISSING), found.get(key, MISSING), f"{where}.{key}")
+    elif not isinstance(written, np.ndarray) and repr(found) != repr(written):
+        raise FormatError(
+            f"{where}: the file has {_text(found)} where save_model writes {_text(written)}"
+        )
 
-    def refuse_unread(self) -> None:
-        """Refuse any key that was not read: ``save_model`` writes none."""
-        unknown = sorted(self.payload.keys() - self.read)
-        if unknown:
-            raise FormatError(
-                f"{self.where}: unknown key(s) {', '.join(unknown)}; "
-                f"valid keys are {', '.join(sorted(self.read))}"
-            )
+
+def _text(value) -> str:
+    return "nothing" if value is MISSING else json.dumps(value, default=_encode)
 
 
 def _reject_constant(token: str):
@@ -571,48 +554,39 @@ def _reject_constant(token: str):
 
 
 def load_model(path: str) -> DNTModel:
-    """Read a model file, validating format, version, and invariants."""
+    """Read a model file; it loads only if save_model writes it back for the model it builds."""
     try:
         with open(path, "r", encoding="ascii") as handle:
             payload = json.loads(handle.read(), parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"model file is not valid ASCII JSON: {exc}") from None
-    root = _Reader(payload, "model")
-    version = root.get("format", str)
-    if version != MODEL_FORMAT_VERSION:
+    if not isinstance(payload, dict):
+        raise FormatError("model: expected an object")
+    version = payload.get("format")
+    if isinstance(version, str) and version != MODEL_FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"model.format: {version!r} is not supported (expected {MODEL_FORMAT_VERSION!r}); "
             "retrain the model with `dnt train` from the config block of this file"
         )
-    raw_config = root.get("config", dict)
     try:
-        config = config_from_dict(TrainConfig, raw_config, "model.config")
+        config = config_from_dict(TrainConfig, payload.get("config"), "model.config")
     except ConfigError as exc:
         raise FormatError(str(exc)) from None
-    drift = _noncanonical_key(config_to_dict(config), raw_config, "model.config")
-    if drift is not None:
-        raise FormatError(f"{drift}: missing or not in canonical form")
-    stored = (root.get("extractor_id", str), root.get("n", int), root.get("alpha", float))
-    if stored != (config.extractor, config.n, config.alpha):
-        raise FormatError("model: extractor_id, n and alpha disagree with config")
-    cutoff = root.get("cutoff", float)
-    selection_reader = _Reader(root.get("selection", dict), "model.selection")
     try:
-        selection = SelectionModel(
-            selection_reader.array("scores"), selection_reader.array("mask", _INT)
-        )
-        metric_flat = root.array("metric")
-        dim = int(round(math.isqrt(metric_flat.size)))
+        scores = _decode_array(payload, "selection.scores")
+        selection = SelectionModel(scores, _decode_array(payload, "selection.mask", _INT))
+        metric_flat = _decode_array(payload, "metric")
+        dim = math.isqrt(metric_flat.size)
         if dim * dim != metric_flat.size:
             raise FormatError("model.metric: length is not a perfect square")
-        metric = MetricMatrix(metric_flat.reshape(dim, dim))
         model = DNTModel(
-            selection, metric, root.array("centroid"), root.array("null_distances"), config
+            selection,
+            MetricMatrix(metric_flat.reshape(dim, dim)),
+            _decode_array(payload, "centroid"),
+            _decode_array(payload, "null_distances"),
+            config,
         )
     except InvalidArgumentError as exc:
         raise FormatError(f"model: {exc}") from None
-    if cutoff != model.cutoff:
-        raise FormatError("model: cutoff is not the (1-alpha) order statistic of null_distances")
-    root.refuse_unread()
-    selection_reader.refuse_unread()
+    _check_written(_layout(model), payload, "model")
     return model

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_thread
 from .errors import InsufficientDataError, InvalidArgumentError, TrainingError
 from .features import _as_matrix
 from .sampling import _array, _finite, _frozen, _integer
@@ -340,13 +341,14 @@ class _Objective:
         return self.x.T @ (laplacian @ self.x)
 
 
+@one_thread()
 def train_metric(features: np.ndarray, labels: np.ndarray, cfg: LmnnConfig) -> MetricMatrix:
     """Fit M by projected gradient descent from the identity.
 
     A step that raises the loss is rejected and halves the step size;
     accepted losses are therefore non-increasing. Stops on max_iters,
     relative improvement below cfg.tolerance, or step-size underflow,
-    and returns the lowest-loss iterate observed.
+    and returns the lowest-loss iterate observed, at one BLAS thread.
     """
     x = _as_matrix(features, "train_metric features")
     ts = build_triplets(x, labels, cfg.k)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -257,6 +258,14 @@ class PowerTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", _methods(self.methods))
+        for name, least in (("reps", 1), ("n", 3)):
+            if getattr(self, name) is not None:  # None in a parsed table
+                value = _integer(getattr(self, name), name)
+                if value < least:
+                    raise InvalidArgumentError(f"{name} must be at least {least}")
+                object.__setattr__(self, name, value)
+        if self.master_seed is not None:
+            object.__setattr__(self, "master_seed", _seed(self.master_seed, "master_seed"))
         if tuple(sorted(self.fractions)) != _CASE_IDS:
             raise InvalidArgumentError("table must cover exactly cases 1..15")
         rows = [(f"case {case_id}", row) for case_id, row in self.fractions.items()]
@@ -312,75 +321,54 @@ def run_power_study(cfg: RunConfig, bank: MethodBank | None = None) -> PowerTabl
 
 def emit_table(table: PowerTable, format: str = "csv") -> str:
     """Render a table: header, 15 case rows, one mean row; 3 decimals."""
+    rows = [
+        [str(case_id), label, *(f"{table.fractions[case_id][name]:.3f}" for name in table.methods)]
+        for case_id, label in table.labels.items()
+    ]
+    rows.append(["mean", "", *(f"{table.mean_row[name]:.3f}" for name in table.methods)])
     if format == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(["case", "label", *table.methods])
-        for case_id, label in table.labels.items():
-            row = table.fractions[case_id]
-            writer.writerow(
-                [case_id, label]
-                + [f"{row[name]:.3f}" for name in table.methods]
-            )
-        writer.writerow(
-            ["mean", ""] + [f"{table.mean_row[name]:.3f}" for name in table.methods]
-        )
+        csv.writer(buffer, lineterminator="\n").writerows([["case", "label", *table.methods]] + rows)
         return buffer.getvalue()
     if format == "markdown":
-        header = "| Case | Label | " + " | ".join(table.methods) + " |"
-        rule = "|---|---|" + "|".join("---" for _ in table.methods) + "|"
-        lines = [header, rule]
-        for case_id, label in table.labels.items():
-            row = table.fractions[case_id]
-            cells = " | ".join(f"{row[name]:.3f}" for name in table.methods)
-            lines.append(f"| {case_id} | {label} | {cells} |")
-        cells = " | ".join(f"{table.mean_row[name]:.3f}" for name in table.methods)
-        lines.append(f"| Mean |  | {cells} |")
+        rows[-1][0] = "Mean"
+        lines = ["| " + " | ".join(row) + " |" for row in [["Case", "Label", *table.methods], *rows]]
+        lines.insert(1, "|---|---|" + "---|" * len(table.methods))
         return "\n".join(lines) + "\n"
     raise InvalidArgumentError(f"unknown format {format!r}; use csv or markdown")
 
 
 def parse_table(text: str) -> PowerTable:
-    """Read back an emitted CSV table; the mean row is kept as written.
+    """Read back an emitted CSV table; it parses only if emit_table writes it back.
 
-    A case row must give its case id and label exactly as ``emit_table``
-    writes them: a cell such as ``015`` or a label other than the case's
-    is refused, not rewritten.
+    The rows are read into a PowerTable, which checks its roster, cases
+    and fractions, and then each line of text must be the line that
+    ``emit_table`` writes for that table. Lines are compared after
+    ``splitlines``, so a table saved with CRLF line ends still reads.
     """
-    rows = list(csv.reader(io.StringIO(text)))
+    lines = text.splitlines()
+    rows = list(csv.reader(lines))
     if not rows or rows[0][:2] != ["case", "label"]:
         raise FormatError("power table: missing 'case,label,...' header")
     methods = tuple(rows[0][2:])
-    body = rows[1:]
-    if len(body) != len(_CASE_IDS) + 1:
-        raise FormatError(
-            f"power table: expected {len(_CASE_IDS) + 1} data rows, got {len(body)}"
-        )
-    fractions: dict[int, dict[str, float]] = {}
-    for row in body[:-1]:
-        if len(row) != 2 + len(methods):
-            raise FormatError("power table: wrong column count in a case row")
+    fractions, mean_row = {}, {}
+    for number, row in enumerate(rows[1:], 2):
         try:
-            case_id = int(row[0])
-            values = [float(v) for v in row[2:]]
-        except ValueError:
-            raise FormatError(f"power table: malformed numbers in case row {row[0]!r}") from None
-        if row[0] != str(case_id):
-            raise FormatError(f"power table: case cell {row[0]!r} is not written as a case id")
-        label = case_spec(case_id).label if case_id in _CASE_IDS else row[1]
-        if row[1] != label:
-            raise FormatError(
-                f"power table: case {case_id} label must be {label!r}, got {row[1]!r}"
-            )
-        fractions[case_id] = dict(zip(methods, values))
-    mean = body[-1]
-    if mean[:2] != ["mean", ""] or len(mean) != 2 + len(methods):
-        raise FormatError("power table: last row must be the mean row")
+            values = dict(zip(methods, map(float, row[2:])))
+            if number < len(rows):
+                fractions[int(row[0])] = values
+            else:
+                mean_row = values  # kept as written, not recomputed
+        except (ValueError, IndexError):
+            raise FormatError(f"power table: malformed numbers on line {number}") from None
     try:
-        mean_row = dict(zip(methods, (float(v) for v in mean[2:])))
-    except ValueError:
-        raise FormatError("power table: malformed numbers in mean row") from None
-    try:
-        return PowerTable(methods=methods, fractions=fractions, mean_row=mean_row)
+        table = PowerTable(methods=methods, fractions=fractions, mean_row=mean_row)
     except InvalidArgumentError as exc:
         raise FormatError(f"power table: {exc}") from None
+    written = emit_table(table).splitlines()
+    for number, (line, expected) in enumerate(itertools.zip_longest(lines, written), 1):
+        if line != expected:
+            raise FormatError(
+                f"power table: line {number} reads {line!r}, but emit_table writes {expected!r}"
+            )
+    return table

@@ -257,7 +257,7 @@ class TestTestCommand:
         data = tmp_path / "null.txt"
         write_sample(data, case_id=15)
         assert entrypoint(["test", "--model", str(model), "--data", str(data)]) == EXIT_BAD_FORMAT
-        assert "model: unknown key(s) foo; valid keys are " in capsys.readouterr().err
+        assert "model.foo: the file has 1 where save_model writes nothing" in capsys.readouterr().err
 
     def test_v1_model_is_refused_and_its_config_retrains_it(self, model_path, tmp_path, capsys):
         """A v1 file exits 4 naming both versions; `dnt train` on its config block rebuilds it."""

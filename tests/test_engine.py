@@ -14,6 +14,8 @@ import functools
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -948,8 +950,8 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "literal, match",
         [
-            pytest.param("1e400", "model.cutoff: expected a finite number", id="1e400"),
-            pytest.param("-1e400", "model.cutoff: expected a finite number", id="-1e400"),
+            pytest.param("1e400", "model.cutoff: the file has Infinity where", id="1e400"),
+            pytest.param("-1e400", "model.cutoff: the file has -Infinity where", id="-1e400"),
             pytest.param("NaN", "non-finite number NaN", id="NaN"),
         ],
     )
@@ -1011,14 +1013,13 @@ class TestPersistence:
         ids=["top-level", "selection"],
     )
     def test_a_key_save_model_never_writes_is_refused(self, model, tmp_path, where, key, value):
-        """Each used to load without error; the valid keys listed are the ones save_model writes."""
+        """Each used to load without error."""
         path = tmp_path / "model.json"
         payload = _saved_payload(model, path)
         node = payload if where == "model" else payload["selection"]
-        valid = ", ".join(sorted(node))
         node[key] = value
         path.write_text(json.dumps(payload))
-        message = rf"^{where}: unknown key\(s\) {key}; valid keys are {valid}$"
+        message = rf"^{where}\.{key}: the file has {re.escape(json.dumps(value))} where save_model writes nothing$"
         with pytest.raises(FormatError, match=message):
             load_model(str(path))
 
@@ -1061,15 +1062,31 @@ class TestPersistence:
         for got, want in zip(_arrays(loaded), _arrays(pinned)):
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
-    @pytest.mark.parametrize("key, value", [("n", 30), ("alpha", 0.1), ("extractor", "ImageGrid")])
-    def test_config_must_match_the_model(self, model, tmp_path, key, value):
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            pytest.param(
+                "n", 30, "^model: selection scores 20 features, but RawOrder makes 30 at n=30$",
+                id="n-30",
+            ),
+            pytest.param(
+                "alpha", 0.1, r"^model\.alpha: the file has 0\.05 where save_model writes 0\.1$",
+                id="alpha-0.1",
+            ),
+            pytest.param(
+                "extractor", "ImageGrid", "^model: selection scores 20 features, but ImageGrid makes",
+                id="extractor-ImageGrid",
+            ),
+        ],
+    )
+    def test_config_must_match_the_model(self, model, tmp_path, key, value, match):
         """The file's n, alpha and extractor_id have to equal their config values."""
         path = tmp_path / "model.json"
         save_model(model, str(path))
         payload = json.loads(path.read_text())
         payload["config"][key] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="disagree with config"):
+        with pytest.raises(FormatError, match=match):
             load_model(str(path))
 
     def test_feature_count_must_match_the_config(self, model, tmp_path):
@@ -1089,4 +1106,123 @@ class TestPersistence:
         path = tmp_path / "model.json"
         path.write_bytes(b'{"format": "\xff"}\n')
         with pytest.raises(FormatError, match="ASCII"):
+            load_model(str(path))
+
+
+# A v2 file written by save_model before load_model read files back by round trip:
+# tiny_config(), trained at one BLAS thread.
+TINY_FILE = Path(__file__).parent / "data" / "model-v2-tiny.json"
+_ARRAY_PATHS = {"selection.scores", "selection.mask", "metric", "centroid", "null_distances"}
+
+
+def _walk(node: dict, prefix: str = ""):
+    """(dotted path, value) of every value below node that is not an object: lists are leaves."""
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _walk(value, f"{path}.")
+        elif path not in _ARRAY_PATHS:
+            yield path, value
+
+
+LEAVES = dict(_walk(json.loads(TINY_FILE.read_text())))
+# The leaves save_model derives from the config and arrays, each with another value of
+# its JSON type. Every other leaf is a config setting: another valid value of it is
+# another canonical config, which loads.
+DERIVED = {
+    "format": "dnt-model-v3",
+    "extractor_id": "ImageGrid",
+    "n": 21,
+    "alpha": 0.1,
+    "cutoff": 0.5,
+}
+
+
+def _other_number_type(value):
+    """value as the other JSON number type, or None if it has no such spelling."""
+    if isinstance(value, list):
+        return [_other_number_type(item) for item in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if isinstance(value, int):
+        return float(value)
+    return int(value) if value.is_integer() else None
+
+
+RETYPED = {path: v for path, v in LEAVES.items() if _other_number_type(v) not in (None, [None])}
+
+
+def _retype(node: dict, key: str) -> None:
+    node[key] = _other_number_type(node[key])
+
+
+def _refused(payload: dict, tmp_path, leaf: str) -> None:
+    """The payload written to a file is refused with a FormatError that names leaf.
+
+    It names model.<leaf>; or, for a config setting, the setting itself
+    (d, lmnn.k), since a default filled in for a removed setting can
+    break a config or model invariant, which then refuses the file first.
+    """
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError) as caught:
+        load_model(str(path))
+    names = [f"model.{leaf}"] + [leaf.removeprefix("config.")] * leaf.startswith("config.")
+    message = str(caught.value)
+    assert any(re.search(rf"(^|[^.\w]){re.escape(name)}(\W|$)", message) for name in names), message
+
+
+def _edited(path: str, edit) -> dict:
+    """The tiny file's payload with edit applied to the object holding path and its last key."""
+    payload = json.loads(TINY_FILE.read_text())
+    *parents, key = path.split(".")
+    node = payload
+    for parent in parents:
+        node = node[parent]
+    edit(node, key)
+    return payload
+
+
+class TestWrittenBack:
+    """One rule: a model file loads only if save_model, given what it decodes to, writes it back."""
+
+    def test_a_file_the_earlier_writer_wrote_loads_and_saves_byte_identically(self, tmp_path):
+        again = tmp_path / "again.json"
+        save_model(load_model(str(TINY_FILE)), str(again))
+        assert again.read_bytes() == TINY_FILE.read_bytes()
+
+    def test_the_walk_covers_every_setting(self):
+        """Every config field and each stored scalar is a leaf; arrays are not."""
+        config = {f"config.{path}" for path, _ in _walk(config_to_dict(tiny_config()))}
+        assert set(LEAVES) == config | set(DERIVED)
+        assert {"config.lmnn.push_weight", "config.lmnn.margin", "config.h1_spec.params"} <= set(
+            RETYPED
+        )
+
+    @pytest.mark.parametrize("path", sorted(LEAVES))
+    def test_a_removed_leaf_is_refused(self, tmp_path, path):
+        _refused(_edited(path, lambda node, key: node.pop(key)), tmp_path, path)
+
+    @pytest.mark.parametrize("path", sorted(RETYPED))
+    def test_the_other_number_type_is_refused(self, tmp_path, path):
+        """20.0 for 20 and 1 for 1.0; push_weight, margin and params used to load as 1 for 1.0."""
+        _refused(_edited(path, _retype), tmp_path, path)
+
+    @pytest.mark.parametrize("path, value", sorted(DERIVED.items()))
+    def test_another_value_of_a_derived_leaf_is_refused(self, tmp_path, path, value):
+        assert type(value) is type(LEAVES[path]) and value != LEAVES[path]
+        _refused(_edited(path, lambda node, key: node.update({key: value})), tmp_path, path)
+
+    @pytest.mark.parametrize(
+        "level", ["model", "model.selection", "model.config", "model.config.h1_spec", "model.config.lmnn"]
+    )
+    def test_an_extra_key_at_each_level_is_refused(self, tmp_path, level):
+        payload = json.loads(TINY_FILE.read_text())
+        node = payload
+        for key in level.split(".")[1:]:
+            node = node[key]
+        node["extra"] = 1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=rf"^{re.escape(level)}(\.extra: |: unknown key\(s\) extra;)"):
             load_model(str(path))

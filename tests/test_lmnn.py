@@ -13,10 +13,16 @@ Tests cover:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import oracles
 import pytest
 
+import dnt
+from dnt import _blas
 from dnt.errors import InsufficientDataError, InvalidArgumentError
 from dnt.lmnn import (
     LmnnConfig,
@@ -437,6 +443,54 @@ class TestTrainMetric:
     def test_config_stores_plain_integers(self) -> None:
         cfg = LmnnConfig(k=np.int64(3), max_iters=np.int32(7))
         assert type(cfg.k) is int and type(cfg.max_iters) is int
+
+
+# The smallest fit found whose bits, before the fit pinned one BLAS thread, differed
+# at two OpenBLAS threads from one (numpy's bundled OpenBLAS, SkylakeX core, 2 vCPUs).
+_FIT = r"""
+import sys
+import numpy as np
+from dnt.lmnn import LmnnConfig, train_metric
+x = np.random.default_rng(128100).standard_normal((128, 100))
+labels = np.arange(128) % 2
+x[labels == 1] *= 1.3
+sys.stdout.write(train_metric(x, labels, LmnnConfig(k=5, max_iters=2)).matrix.tobytes().hex())
+"""
+
+
+def _fit_hex(threads: int) -> str:
+    """The fit's matrix bytes from a fresh interpreter started at threads OpenBLAS threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dnt.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _FIT], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+class TestOneBlasThread:
+    """train_metric runs at one OpenBLAS thread, whatever the caller's count."""
+
+    def test_fit_bits_do_not_depend_on_the_thread_count(self) -> None:
+        assert _fit_hex(2) == _fit_hex(1)
+
+    def test_the_callers_thread_count_is_restored(self) -> None:
+        get, set_ = _blas._openblas()
+        if get() == 0:  # OpenBLAS reports at least one thread
+            pytest.skip("numpy's bundled OpenBLAS thread-count symbols were not found")
+        before = get()
+        try:
+            set_(2)
+            with _blas.one_thread():
+                assert get() == 1
+            assert get() == 2
+            with pytest.raises(ZeroDivisionError), _blas.one_thread():
+                1 / 0
+            assert get() == 2
+            train_metric(np.eye(6), np.array([0, 0, 0, 1, 1, 1]), LmnnConfig(k=1, max_iters=1))
+            assert get() == 2
+        finally:
+            set_(before)
 
 
 class TestTransform:

@@ -287,6 +287,36 @@ class TestPowerTable:
         with pytest.raises(TypeError, match="labels"):
             PowerTable(table.methods, table.fractions, table.mean_row, labels=labels)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("reps", 0, "reps must be at least 1"),
+            ("reps", 100.0, "reps must be an integer"),
+            ("n", 2, "n must be at least 3"),
+            ("n", "100", "n must be an integer"),
+            ("master_seed", -1, "master_seed must fit in 64 unsigned bits"),
+            ("master_seed", 2**64, "master_seed must fit in 64 unsigned bits"),
+            ("master_seed", True, "master_seed must be an integer"),
+        ],
+        ids=["reps-0", "reps-float", "n-2", "n-text", "seed-negative", "seed-2**64", "seed-bool"],
+    )
+    def test_rejects_a_bad_run_description(self, field, value, message):
+        """reps, n and master_seed used to be stored unchecked."""
+        table = minimal_table()
+        with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+            PowerTable(table.methods, table.fractions, table.mean_row, **{field: value})
+
+    def test_stores_run_description_as_plain_integers(self):
+        """A parsed table keeps None for all three."""
+        table = parse_table(roster_csv(("KS",)))
+        assert (table.reps, table.n, table.master_seed) == (None, None, None)
+        stored = PowerTable(
+            table.methods, table.fractions, table.mean_row, np.int64(500), np.int32(100), np.uint64(7)
+        )
+        assert [(type(v), v) for v in (stored.reps, stored.n, stored.master_seed)] == [
+            (int, 500), (int, 100), (int, 7)
+        ]
+
     def test_rejects_mean_row_mismatch(self):
         """The mean row must score exactly the declared methods."""
         table = minimal_table()
@@ -592,10 +622,10 @@ class TestEmitAndParse:
     @pytest.mark.parametrize(
         "line, old, new, message",
         [
-            (1, "1,t(2),", "1,Cauchy,", "case 1 label"),
-            (15, "15,", "1_5,", "case cell"),
-            (15, "15,", "015,", "case cell"),
-            (15, "15,", " 15,", "case cell"),
+            (1, "1,t(2),", "1,Cauchy,", "^power table: line 2 reads '1,Cauchy,.*writes '1,t\\(2\\),"),
+            (15, "15,", "1_5,", "^power table: line 16 reads '1_5,.*writes '15,"),
+            (15, "15,", "015,", "^power table: line 16 reads '015,.*writes '15,"),
+            (15, "15,", " 15,", "^power table: line 16 reads ' 15,.*writes '15,"),
         ],
         ids=["Cauchy", "1_5", "015", "space-15"],
     )
@@ -607,6 +637,19 @@ class TestEmitAndParse:
         with pytest.raises(FormatError, match=message):
             parse_table("\n".join(lines) + "\n")
 
+    def test_parse_rejects_a_fraction_not_written_to_three_decimals(self):
+        """0.1 for 0.100 used to parse, and emit back as 0.100."""
+        lines = roster_csv(("KS",)).splitlines()
+        assert lines[5].endswith(",0.100")
+        lines[5] = lines[5].removesuffix("00")
+        with pytest.raises(FormatError, match=r"""^power table: line 6 reads '5,"U\(0,1\)",0\.1', but"""):
+            parse_table("\n".join(lines) + "\n")
+
+    def test_parse_reads_crlf_line_ends(self, ks_table):
+        """Lines are compared after splitlines, so a table saved with CRLF ends reads."""
+        text = emit_table(ks_table)
+        assert emit_table(parse_table(text.replace("\n", "\r\n"))) == text
+
     def test_parse_rejects_missing_mean_row(self, ks_table):
         """The last row must be the mean row."""
         text = emit_table(ks_table).replace("mean,", "avg,")
@@ -616,7 +659,7 @@ class TestEmitAndParse:
     def test_parse_rejects_a_labelled_mean_row(self, ks_table):
         """mean,x,... used to parse and emit back as mean,,..."""
         text = emit_table(ks_table).replace("mean,,", "mean,x,")
-        with pytest.raises(FormatError, match="last row must be the mean row"):
+        with pytest.raises(FormatError, match="^power table: line 17 reads 'mean,x,.*writes 'mean,,"):
             parse_table(text)
 
 
