@@ -257,7 +257,7 @@ def _feature_rows(samples: np.ndarray, extractor_id: str) -> np.ndarray:
     z = _z_scores(samples, ascending=True)
     if extractor_id == "RawOrder":
         return z
-    return _image_grid_rows(_render_rows(z)[0])
+    return _image_grid_rows(_render_rows(z))
 
 
 def _feature_block(
@@ -589,4 +589,11 @@ def load_model(path: str) -> DNTModel:
     except InvalidArgumentError as exc:
         raise FormatError(f"model: {exc}") from None
     _check_written(_layout(model), payload, "model")
+    # train keeps one null distance per calibration sample; a canonical config can still disagree.
+    source = "fresh_null_count" if config.fresh_null_count else "h0_pool"
+    if model.null_distances.size != getattr(config, source):
+        raise FormatError(
+            f"model.null_distances: the file has {model.null_distances.size} values where "
+            f"config.{source} gives {getattr(config, source)}"
+        )
     return model

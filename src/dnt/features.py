@@ -2,11 +2,23 @@
 
 Two extractors: RawOrder (the sorted standardized sample itself) and
 ImageGrid (cell statistics of the 128x128 raster plus four global
-summaries, 196 features); its one kernel, ``_image_grid_rows``, takes
-a block of rendered levels or of float rasters, and ``extract_image``
-is its one-row call. Selection keeps the d features with the largest
-Welch-style separation between a null and an alternative class; it is
-closed-form and deterministic.
+summaries, 196 features). Its kernel, ``_image_grid_rows``, scores a
+rendered block from its lit pixels (``qq._render_rows``), and
+``extract_image`` is its one-row call on a rendered raster. Every
+statistic of a rendered raster is an integer sum of levels divided
+once: a cell's pixel sum and inner absolute differences, the level
+total, and the point count, rows and columns. Integer sums are exact
+in any order, so the lit-pixel sums give the dense planes' values bit
+for bit. A difference is nonzero only on an edge with a lit end; each
+lit pixel adds the edge to its next pixel, and the edge from its
+previous pixel when that one is dark, so each edge is added once. A
+raster that ``rasterize`` did not render has no lit list, and its
+pixels may be any floats, whose sums round by order; ``extract_image``
+keeps the dense form, ``_pixel_grid``, for it.
+
+Selection keeps the d features with the largest Welch-style
+separation between a null and an alternative class; it is closed-form
+and deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .qq import _POINT_LEVEL, RASTER_SIZE, QQRaster
+from .qq import _POINT_LEVEL, _SIZE, RASTER_SIZE, QQRaster, _Rendered
 from .sampling import Sample, _array, _as_values, _frozen, _z_scores
 
 __all__ = [
@@ -36,6 +48,10 @@ IMAGE_GRID_LENGTH = _GRID * _GRID * 3 + 4
 _INDEX = np.arange(RASTER_SIZE)
 # Values behind each cell statistic: pixels, then inner differences across and down.
 _CELL_COUNTS = np.array([_CELL * _CELL, _CELL * (_CELL - 1), _CELL * (_CELL - 1)])
+# Each level sum's divisor, in feature order: the point level times the count.
+_CELL_DIVISORS = np.tile(_POINT_LEVEL * _CELL_COUNTS, _GRID * _GRID)
+# The cell of each flat pixel index of an image: (row // 16) * 8 + column // 16.
+_CELL_OF = (np.arange(_SIZE) >> 11) * _GRID + (np.arange(_SIZE) >> 4) % _GRID
 
 
 @dataclass(frozen=True)
@@ -79,54 +95,79 @@ def extract_image(r: QQRaster) -> np.ndarray:
     mean, population sd, and the mean row and column index of the
     point-level (intensity 1.0) pixels, 0.0 when there are none.
     """
-    return _image_grid_rows(r.pixels[np.newaxis], 1.0)[0]
+    if r._rendered is not None:
+        return _image_grid_rows(r._rendered)[0]
+    return _pixel_grid(r.pixels)
 
 
-def _image_grid_rows(images: np.ndarray, top=_POINT_LEVEL) -> np.ndarray:
-    """ImageGrid vector of each image of a (rows, 128, 128) block.
+def _image_grid_rows(rendered: _Rendered) -> np.ndarray:
+    """ImageGrid vector of each image of a rendered block, from its lit pixels.
 
-    A pixel's intensity is its image value divided by top: 1.0 for float
-    rasters, and by default the point level 2 of rendered uint8 levels
-    (``qq._render_rows``). Each cell statistic is a block sum over one
-    of three planes (the image, and its absolute forward differences
-    across and down, zeroed across cell edges), divided once by top
-    times its count. Rendered pixels are multiples of 0.5, so every sum
-    is exact in any order, and levels give their pixels' vector bit for
-    bit. Level sums fit int8 down a cell's 16 rows (at most 32) and
-    int16 across its columns (at most 512).
+    Each cell statistic is the sum of one of three level planes over
+    the cell (the image, and its absolute forward differences across
+    and down, inside the cell), divided once by _POINT_LEVEL times its
+    count; the global ones come from the level total and the point
+    count, rows and columns. The three plane sums of a cell are at most
+    512 each, so one ``bincount`` adds them packed in one integer, at
+    bits 0, 10 and 20, and every partial sum stays exact. See the module
+    docstring for why the sums are the dense planes' sums bit for bit.
     """
-    rows = images.shape[0]
-    exact = images.dtype.kind != "f"
-    if exact:  # signed, so differences do not wrap
-        images = images.view(np.int8)
-    planes = np.empty((3, *images.shape), dtype=images.dtype)  # every entry is written
+    levels, lit = rendered.levels.reshape(-1), rendered.lit
+    rows = rendered.levels.shape[0]
+    value = rendered.lit_levels.view(np.int8)
+    packed = value.astype(np.int64)
+    # A flat index is image << 14 | row << 7 | column. Across, the next
+    # pixel is one on and the place in the cell is the column's low 4
+    # bits; down, 128 on and the row's.
+    for step, place, shift in ((1, lit & (_CELL - 1), 10), (RASTER_SIZE, (lit >> 7) & (_CELL - 1), 20)):
+        after = levels.take(lit + step, mode="clip").view(np.int8)
+        before = levels.take(lit - step, mode="clip")
+        edges = np.abs(after - value) * (place != _CELL - 1) + value * ((place != 0) & (before == 0))
+        packed += edges.astype(np.int64) << shift
+    image = lit >> 14
+    sums = np.bincount(image * (_GRID * _GRID) + _CELL_OF[lit & (_SIZE - 1)], packed, minlength=rows * _GRID * _GRID)
+    sums = sums.astype(np.int64)[..., None] >> np.array([0, 10, 20]) & 1023
+    per_cell = sums.reshape(rows, -1) / _CELL_DIVISORS
+
+    top, size = _POINT_LEVEL, _SIZE
+    total = sums[:, 0].reshape(rows, -1).sum(axis=1)
+    point = value == _POINT_LEVEL
+    points, point_image = np.compress(point, lit), np.compress(point, image)
+    count = np.bincount(point_image, minlength=rows)
+    # levels 0, 1, 2 square to level + 2 * [level == 2]
+    var = (size * (total + 2 * count) - total * total) / (size * size * top * top)
+    row_mean, col_mean = (
+        np.divide(np.bincount(point_image, at, minlength=rows), count, out=np.zeros(rows), where=count > 0)
+        for at in ((points >> 7) & (RASTER_SIZE - 1), points & (RASTER_SIZE - 1))
+    )
+    global_stats = np.stack([total / (top * size), np.sqrt(var), row_mean, col_mean], axis=1)
+    return np.concatenate([per_cell, global_stats], axis=1)
+
+
+def _pixel_grid(pixels: np.ndarray) -> np.ndarray:
+    """ImageGrid vector of one float raster, from its dense planes."""
+    images = pixels[np.newaxis]
+    planes = np.empty((3, *images.shape))  # every entry is written
     planes[0] = images
     np.subtract(images[:, :, 1:], images[:, :, :-1], out=planes[1, :, :, :-1])
     np.subtract(images[:, 1:], images[:, :-1], out=planes[2, :, :-1])
     np.abs(planes[1:], out=planes[1:])
     planes[1, :, :, _CELL - 1 :: _CELL] = 0
     planes[2, :, _CELL - 1 :: _CELL] = 0
-    narrow, wide = (np.int8, np.int16) if exact else (None, None)
-    by_cell_row = planes.reshape(3, rows, _GRID, _CELL, RASTER_SIZE)
-    columns = np.add.reduce(by_cell_row, axis=3, dtype=narrow)
-    sums = np.add.reduce(columns.reshape(3, rows, _GRID, _GRID, _CELL), axis=4, dtype=wide)
-    per_cell = (np.moveaxis(sums, 0, -1) / (top * _CELL_COUNTS)).reshape(rows, -1)
+    by_cell_row = planes.reshape(3, 1, _GRID, _CELL, RASTER_SIZE)
+    columns = np.add.reduce(by_cell_row, axis=3)
+    sums = np.add.reduce(columns.reshape(3, 1, _GRID, _GRID, _CELL), axis=4)
+    per_cell = (np.moveaxis(sums, 0, -1) / _CELL_COUNTS).reshape(-1)
 
-    size = RASTER_SIZE * RASTER_SIZE
-    total = sums[0].sum(axis=(1, 2))
-    point = (images == top).view(np.int8)
-    row_count = np.add.reduce(point, axis=2, dtype=np.int16)
-    col_count = np.add.reduce(point, axis=1, dtype=np.int16)
-    count = row_count.sum(axis=1)
-    if exact:  # levels 0, 1, 2 square to level + 2 * [level == 2]
-        var = (size * (total + 2 * count) - total * total) / (size * size * top * top)
-    else:
-        centered = (images - (total / size)[:, None, None]).reshape(rows, 1, size)
-        var = (centered @ centered.transpose(0, 2, 1)).reshape(rows) / size
-    row_mean = np.divide(row_count @ _INDEX, count, out=np.zeros(rows), where=count > 0)
-    col_mean = np.divide(col_count @ _INDEX, count, out=np.zeros(rows), where=count > 0)
-    global_stats = np.stack([total / (top * size), np.sqrt(var), row_mean, col_mean], axis=1)
-    return np.concatenate([per_cell, global_stats], axis=1)
+    size = _SIZE
+    total = sums[0].sum(axis=(1, 2))[0]
+    point = (pixels == 1.0).view(np.int8)
+    count = int(point.sum())
+    centered = (images - total / size).reshape(1, 1, size)
+    var = (centered @ centered.transpose(0, 2, 1)).reshape(()) / size
+    row_mean = np.add.reduce(point, axis=1, dtype=np.int16) @ _INDEX / count if count else 0.0
+    col_mean = np.add.reduce(point, axis=0, dtype=np.int16) @ _INDEX / count if count else 0.0
+    return np.concatenate([per_cell, [total / size, np.sqrt(var), row_mean, col_mean]])
 
 
 def _as_matrix(x, what: str) -> np.ndarray:

@@ -12,35 +12,63 @@ of rasters against the same reference. Its one block method,
 ``statistic`` is its one-row call, and ``ssim`` negates that.
 
 One kernel, ``_window_sums``, filters a block of images: the window
-sums of pa, pa*pa and pa*pb, where pb is the reference. A rendered
-raster has about 450 nonzero pixels of 16,384, so its row pass works
-on those alone, and it gives the dense separable filter bit for bit:
+sums of pa, pa*pa and pa*pb, where pb is the reference. It takes pa as
+its lit pixels, each once, with their intensities: a rendered block's
+list (``qq._render_rows``; about 490 of 16,384 pixels a raster), or the
+nonzero pixels of any other raster. It gives the dense separable filter
+bit for bit:
 
 - The dense row pass (a strided matmul, which numpy does not hand to
   BLAS) sums pixel * tap from a zero start, tap 0 to 10 in order. The
-  kernel adds the same products in the same order, skipping only the
-  zero pixels. A zero pixel adds +0.0, which leaves a partial sum
-  unchanged, since intensities are never negative.
+  kernel adds the same products into a zeroed buffer with ``add.at``,
+  which adds in index order, and its index runs by tap, then by pixel:
+  so each output adds its terms tap by tap from tap 0. One output takes
+  one pixel per tap, so the pixel order does not matter, but a pixel
+  listed twice would add twice: the list must hold each pixel once. A
+  zero pixel would add +0.0, which leaves a partial sum unchanged,
+  since intensities are never negative.
 - The column pass is left as it was: one BLAS gemv per output row.
   Its rounding is whatever the BLAS kernel does; neither a plain nor
   a fused sequential sum reproduces it, and one gemv per image changes
   the bits of nearly every image. So it is the same strided matmul,
   here over a (3, rows, 128, 118) view.
 
-A dense image takes the same path, about five times slower than the
-dense filter; the rasters this package renders are never dense.
+The SSIM map then runs in place, at a quarter of its value. Scaling by
+a power of two is exact, and it commutes with rounding while no value
+is subnormal or overflows, which holds here: nonzero window sums and
+the constants lie far above the subnormal range. So 2*mu_a*mu_b + C1
+is twice mu_a*mu_b + C1/2, and 2*cov + C2 twice cov + C2/2 (cov is
+prod - mu_a*mu_b); their product is four times the product of the
+halves, the map four times their ratio, and the mean four times the
+mean of the quarters, so -4.0 * mean gives the dense formula's bits.
+mu_a*mu_b is formed once, and the reference's mu_b*mu_b once.
+
+PSNR of a rendered block against a reference of levels counts. Every
+squared error is a multiple of 0.25, so the sum over the 16,384 pixels
+is S * 0.25 for an integer S, the sum of (La - Lb)^2 over the levels,
+and np.mean's value is exactly (S * 0.25) / 16384. S is the reference's
+own sum plus an integer correction at the candidate's lit pixels.
+
+A raster that ``rasterize`` did not render has no lit list, and its
+pixels may be any floats, so ``psnr``, ``ssim`` and ``statistic`` on it
+keep a dense form: ``_psnr``, and the kernel over its nonzero pixels.
+So does PSNR against a reference whose pixels are not all levels.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
-from .qq import _POINT_LEVEL, QQRaster, _render_rows, ideal_points, qq_points, rasterize
+from .qq import (
+    _POINT_LEVEL, _SIZE, RASTER_SIZE, QQRaster, _Rendered, _render_rows, ideal_points, qq_points,
+    rasterize,
+)
 from .sampling import Sample, _z_scores
 
 __all__ = [
@@ -89,44 +117,71 @@ _G = _kernel()
 # The row pass's buffer rows: a left pad of _PAD columns, then one image row.
 _PAD = _WINDOW - 1
 _TAPS = np.arange(_WINDOW)[:, np.newaxis]
-# Images per call of the SSIM kernel; the float copy of a level block
-# is made one sub-block at a time.
+# Images per call of the SSIM kernel, and the valid placements along each axis.
 _SSIM_BLOCK = 4
+_VALID = RASTER_SIZE - _WINDOW + 1
+# A level's intensity, level / _POINT_LEVEL.
+_INTENSITY = np.arange(_POINT_LEVEL + 1) / _POINT_LEVEL
+# Each thread's SSIM buffers (_scratch): about 3.5 MB, kept for the thread's life.
+_SCRATCH = threading.local()
 
 
-def _window_sums(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's SSIM buffers for _SSIM_BLOCK images, made on first use.
+
+    The row pass's padded buffer, the window sums, and the map. They
+    carry no value from one call to the next: each call writes what it
+    reads, zeroing the part of the row buffer that it uses first. Fresh
+    buffers of this size come as fresh pages on each call; a one-row
+    SSIM statistic took 670 us with them and 270 us with these.
+    """
+    buffers = getattr(_SCRATCH, "buffers", None)
+    if buffers is None:
+        buffers = _SCRATCH.buffers = (
+            np.empty((3, _SSIM_BLOCK, RASTER_SIZE, _PAD + RASTER_SIZE)),
+            np.empty((3, _SSIM_BLOCK, _VALID, _VALID)),
+            np.empty((_SSIM_BLOCK, _VALID, _VALID)),
+        )
+    return buffers
+
+
+def _window_sums(lit: np.ndarray, a: np.ndarray, pb: np.ndarray, count: int) -> np.ndarray:
     """Gaussian window sums of pa, pa*pa and pa*pb at every valid placement.
 
-    pa is a (rows, h, w) block of intensities and pb one h x w image;
-    returns the (3, rows, h - 10, w - 10) sums, plane by plane. The
-    row pass adds each nonzero pixel of pa, times each tap in ascending
-    order, into a zeroed buffer; the column pass is one strided matmul
-    per output row. See the module docstring for why this is the dense
-    separable filter bit for bit.
+    pa is a block of count (at most _SSIM_BLOCK) 128x128 images, zero
+    but at its lit pixels: lit, their flat indices into the block, each
+    once, and a, their intensities. pb is one 128x128 image. Returns the
+    (3, count, 118, 118) sums, plane by plane, as a view of this
+    thread's scratch, which the next call overwrites. The row pass adds
+    each lit pixel, times each tap in ascending order, into the zeroed
+    buffer; the column pass is one strided matmul per output row. See
+    the module docstring for why this is the dense separable filter bit
+    for bit.
     """
-    rows, height, width = pa.shape
-    nz = np.flatnonzero(pa)
-    a = pa.reshape(-1)[nz]
-    values = np.stack([a, a * a, a * pb.reshape(-1)[nz % pb.size]])
+    row, sums, _ = _scratch()
+    values = np.stack([a, a * a, a * pb.reshape(-1)[lit % _SIZE]])
     # Pixel (r, c) of the block sits at buffer column c + _PAD of buffer
     # row r, and tap k adds it to output column c - k, which the left
-    # pad keeps inside that row. Index order is (plane, tap, pixel), so
-    # bincount adds each output's terms tap by tap, from tap 0.
-    size = rows * height * (_PAD + width)
-    target = nz + _PAD * (nz // width + 1)
+    # pad keeps inside that row. Index order is (plane, tap, pixel).
+    size = row[0].size
+    target = lit + _PAD * (lit // RASTER_SIZE + 1)
     index = np.arange(0, 3 * size, size)[:, None, None] + (target - _TAPS)
     terms = values[:, None, :] * _G[:, None]
-    flat = np.bincount(index.reshape(-1), terms.reshape(-1), minlength=3 * size)
-    valid = flat.reshape(3, rows, height, _PAD + width)[..., _PAD:width]
-    return sliding_window_view(valid, _WINDOW, axis=-2) @ _G
+    used = row[:, :count]
+    used[...] = 0.0
+    np.add.at(row.reshape(-1), index.reshape(-1), terms.reshape(-1))
+    valid = used[..., _PAD:RASTER_SIZE]
+    return np.matmul(sliding_window_view(valid, _WINDOW, axis=-2), _G, out=sums[:, :count])
 
 
-def _psnr(a: np.ndarray, b: np.ndarray, top=1.0) -> float:
-    """PSNR of intensities a / top against b, through one temporary."""
-    diff = a / top
-    diff -= b
-    mse = float(np.mean(np.square(diff, out=diff)))
+def _decibels(mse: float) -> float:
     return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
+
+
+def _psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """PSNR of float intensities a against b, through one temporary."""
+    diff = a - b
+    return _decibels(float(np.mean(np.square(diff, out=diff))))
 
 
 def _raster(value, what: str) -> QQRaster:
@@ -152,9 +207,16 @@ class SimilarityReference:
     def __init__(self, reference: QQRaster):
         self.raster = _raster(reference, "reference")
         self._pixels = reference.pixels
-        sums = _window_sums(self._pixels[np.newaxis], self._pixels)[:, 0]
-        self._mu = sums[0]
-        self._var = sums[1] - self._mu**2
+        lit = np.flatnonzero(self._pixels)
+        sums = _window_sums(lit, self._pixels.reshape(-1)[lit], self._pixels, 1)[:, 0]
+        self._mu = sums[0].copy()
+        self._mu_sq = self._mu * self._mu
+        self._var = sums[1] - self._mu_sq
+        # The levels of a rendered reference, for PSNR by counts; None off the levels.
+        levels = self._pixels.reshape(-1) * _POINT_LEVEL
+        self._levels = levels.astype(int) if np.array_equal(levels, np.floor(levels)) else None
+        if self._levels is not None:
+            self._sum_sq = int(self._levels @ self._levels)
 
     @classmethod
     def ideal(cls, n: int) -> "SimilarityReference":
@@ -162,33 +224,73 @@ class SimilarityReference:
         return cls(rasterize(ideal_points(n)))
 
     def statistic(self, candidate: QQRaster, metric: str) -> float:
-        """Negated similarity to the reference; larger means less normal."""
-        pixels = _raster(candidate, "candidate").pixels
-        return float(self._level_statistics(pixels[np.newaxis], metric, 1.0)[0])
+        """Negated similarity to the reference; larger means less normal.
 
-    def _level_statistics(self, images: np.ndarray, metric: str, top=_POINT_LEVEL) -> np.ndarray:
-        """The statistic of each image of a (rows, 128, 128) block.
-
-        A pixel's intensity is its image value divided by top: 1.0 for
-        float rasters, and by default the point level 2 of rendered
-        levels (``qq._render_rows``), which halve to their rasters'
-        pixels exactly. So a value does not depend on the block it is
-        in. SSIM takes _SSIM_BLOCK images per kernel call.
+        A raster that ``rasterize`` rendered is scored from its lit
+        pixels, as a one-row block; any other raster, by its pixels.
         """
-        if metric == "PSNR":
-            return np.array([-_psnr(image, self._pixels, top) for image in images])
-        if metric != "SSIM":
-            raise InvalidArgumentError(f"unknown metric {metric!r}")
-        mu_b, var_b = self._mu, self._var
-        out = np.empty(images.shape[0])
-        for start in range(0, out.size, _SSIM_BLOCK):
-            pa = images[start : start + _SSIM_BLOCK] / top
-            mu_a, sq_a, prod = _window_sums(pa, self._pixels)
-            mu_a_sq = mu_a**2
-            num = (2.0 * mu_a * mu_b + _C1) * (2.0 * (prod - mu_a * mu_b) + _C2)
-            den = (mu_a_sq + mu_b**2 + _C1) * (sq_a - mu_a_sq + var_b + _C2)
-            out[start : start + _SSIM_BLOCK] = -(num / den).reshape(pa.shape[0], -1).mean(axis=1)
+        raster = _raster(candidate, "candidate")
+        if raster._rendered is not None:
+            return float(self._level_statistics(raster._rendered, metric)[0])
+        if _metric(metric) == "PSNR":
+            return -_psnr(raster.pixels, self._pixels)
+        lit = np.flatnonzero(raster.pixels)
+        return float(self._ssim_rows(lit, raster.pixels.reshape(-1)[lit], 1)[0])
+
+    def _level_statistics(self, rendered: _Rendered, metric: str) -> np.ndarray:
+        """The statistic of each image of a rendered block (``qq._render_rows``).
+
+        Each value depends on its own image alone, so a value does not
+        depend on the block it is in. SSIM takes _SSIM_BLOCK images per
+        kernel call.
+        """
+        rows = rendered.levels.shape[0]
+        lit, lit_levels = rendered.lit, rendered.lit_levels
+        if _metric(metric) == "SSIM":
+            return self._ssim_rows(lit, _INTENSITY[lit_levels], rows)
+        if self._levels is None:
+            images = np.zeros((rows, _SIZE))
+            images.reshape(-1)[lit] = _INTENSITY[lit_levels]
+            return np.array([-_psnr(image.reshape(self._pixels.shape), self._pixels) for image in images])
+        b = self._levels[lit % _SIZE]
+        d = lit_levels - b
+        counts = self._sum_sq + np.bincount(lit // _SIZE, d * d - b * b, minlength=rows)
+        return np.array([-_decibels(s * 0.25 / _SIZE) for s in counts.tolist()])
+
+    def _ssim_rows(self, lit: np.ndarray, a: np.ndarray, rows: int) -> np.ndarray:
+        """Negated mean SSIM of each image of a block given by its lit pixels.
+
+        The map runs in place on the window sums, in this thread's
+        scratch, at a quarter of its value (see the module docstring).
+        """
+        starts = range(0, rows, _SSIM_BLOCK)
+        bounds = np.searchsorted(lit, np.array([*starts, rows]) * _SIZE)
+        quarter = _scratch()[2]
+        out = np.empty(rows)
+        for start, begin, end in zip(starts, bounds, bounds[1:]):
+            count = min(_SSIM_BLOCK, rows - start)
+            mu_a, sq_a, prod = _window_sums(lit[begin:end] - start * _SIZE, a[begin:end], self._pixels, count)
+            q = np.multiply(mu_a, self._mu, out=quarter[:count])  # mu_a*mu_b
+            prod -= q
+            prod += _C2 / 2
+            q += _C1 / 2
+            q *= prod  # a quarter of the numerator
+            mu_a *= mu_a
+            sq_a -= mu_a
+            sq_a += self._var
+            sq_a += _C2
+            mu_a += self._mu_sq
+            mu_a += _C1
+            mu_a *= sq_a  # the denominator
+            q /= mu_a
+            out[start : start + count] = -4.0 * q.reshape(count, -1).mean(axis=1)
         return out
+
+
+def _metric(metric: str) -> str:
+    if metric not in METRIC_NAMES:
+        raise InvalidArgumentError(f"unknown metric {metric!r}")
+    return metric
 
 
 @dataclass(frozen=True)
@@ -208,5 +310,5 @@ class _SimilarityStatistic:
         QQRaster is built, and each value is the one-sample value bit
         for bit.
         """
-        levels, _, _ = _render_rows(_z_scores(samples, ascending=True))
-        return self.reference._level_statistics(levels, self.metric)
+        rendered = _render_rows(_z_scores(samples, ascending=True))
+        return self.reference._level_statistics(rendered, self.metric)

@@ -192,19 +192,19 @@ class MethodBank:
         """
         samples = _array(samples, "sample values", ndim=2)
         self._check_size(samples.shape[1])
-        z = levels = None
+        z = rendered = None
         if any(name not in STATISTIC_NAMES for name in self.methods):
             z = _z_scores(samples, ascending=True)
         if any(name in METRIC_NAMES or _EXTRACTORS.get(name) == "ImageGrid" for name in self.methods):
-            levels = _render_rows(z)[0]
+            rendered = _render_rows(z)
         out: dict[str, np.ndarray] = {}
         for name in self.methods:
             if name in _EXTRACTORS:
-                features = z if _EXTRACTORS[name] == "RawOrder" else _image_grid_rows(levels)
+                features = z if _EXTRACTORS[name] == "RawOrder" else _image_grid_rows(rendered)
                 m = self.models[name]
                 out[name] = _squared_distances(features, m.selection.mask, m.centroid, m.metric.matrix)
             elif name in METRIC_NAMES:
-                out[name] = self.reference._level_statistics(levels, name)
+                out[name] = self.reference._level_statistics(rendered, name)
             else:
                 out[name] = statistic_fn(name).calibration_rows(samples)
         return out

@@ -13,12 +13,25 @@ copies per row. One index write then paints, for every point of every
 row at once, those of each point's 4x4 candidate pixels that lie on
 the canvas and within the radius, so identical inputs give
 bit-identical images.
+
+The kernel also lists each block's lit pixels: every point pixel and
+every anchor pixel that no point covers, once each, in ascending flat
+order, with its level. A raster has about 364 point pixels and 128
+anchor pixels of 16,384, so the image kernels (``features`` ImageGrid,
+``imagesim`` PSNR and SSIM) work from this list. It comes from one
+sort of the candidate keys, 2 * pixel for a point and 2 * pixel + 1
+for an anchor pixel: a pixel's first key is its only entry, and a
+point key sorts before the anchor key of the same pixel. So no pixel
+is listed twice, though overlapping discs paint it more than once, and
+a covered anchor pixel is listed at the point level. A rendered raster
+carries its block; a raster built from arbitrary pixels has none.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +61,21 @@ _POINT_LEVEL = 2
 _LEVELS = np.zeros((RASTER_SIZE, RASTER_SIZE), dtype=np.uint8)
 _LEVELS[np.arange(RASTER_SIZE)[::-1], np.arange(RASTER_SIZE)] = 1
 _LEVELS.flags.writeable = False
+_SIZE = RASTER_SIZE * RASTER_SIZE
+_ANCHOR = np.flatnonzero(_LEVELS)
 # A pixel within 1.5 px of a center c lies at floor(c) + k with
 # k - frac(c) in [-1.5, 1.5], so k is in -1..2 along each axis.
-_OFFSETS = np.arange(-1, 3)
+_OFFSETS = np.arange(-1, 3)[:, np.newaxis, np.newaxis]
+
+
+class _Rendered(NamedTuple):
+    """A rendered (rows, n) block; see the module docstring for its lit pixels."""
+
+    levels: np.ndarray  # (rows, 128, 128) uint8
+    lo: np.ndarray  # (rows, 1) axis range
+    hi: np.ndarray
+    lit: np.ndarray  # ascending flat indices into levels, each lit pixel once
+    lit_levels: np.ndarray  # uint8 level of each lit pixel
 
 
 @dataclass(frozen=True)
@@ -79,6 +104,8 @@ class QQRaster:
 
     pixels: np.ndarray
     value_range: tuple[float, float]
+    # The one-row block that rasterize rendered this raster from, if it did.
+    _rendered: _Rendered | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pixels = _frozen(self, "pixels", _array(self.pixels, "raster pixels", ndim=2))
@@ -134,21 +161,24 @@ def rasterize(points: QQPoints) -> QQRaster:
     empirical values increase upward. Each point paints every pixel
     whose center lies within 1.5 px of its mapped location.
     """
-    levels, lo, hi = _render_rows(points.empirical[np.newaxis], points.theoretical)
-    return QQRaster(levels[0] / _POINT_LEVEL, (lo[0, 0], hi[0, 0]))
+    rendered = _render_rows(points.empirical[np.newaxis], points.theoretical)
+    raster = QQRaster(rendered.levels[0] / _POINT_LEVEL, (rendered.lo[0, 0], rendered.hi[0, 0]))
+    for array in rendered:
+        array.flags.writeable = False
+    object.__setattr__(raster, "_rendered", rendered)
+    return raster
 
 
-def _render_rows(
-    empirical: np.ndarray, theoretical: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _render_rows(empirical: np.ndarray, theoretical: np.ndarray | None = None) -> _Rendered:
     """``rasterize`` of each row of an ascending (rows, n) empirical block.
 
     Every row shares the theoretical vector, by default the normal
     scores, so sorted z-score rows render as their ``qq_points``.
     Returns the (rows, 128, 128) level images, each the anchor line
-    with _POINT_LEVEL painted where ``rasterize`` paints 1.0, and each
-    row's lo and hi as (rows, 1) arrays. Each step is elementwise, so
-    a row's image does not depend on the other rows.
+    with _POINT_LEVEL painted where ``rasterize`` paints 1.0, each
+    row's lo and hi as (rows, 1) arrays, and the block's lit pixels.
+    Each step is elementwise, so a row's image does not depend on the
+    other rows.
     """
     rows, n = empirical.shape
     if n < 3:
@@ -167,22 +197,33 @@ def _render_rows(
     last = RASTER_SIZE - 1
     scale = last / (hi - lo)
     # Disc centers, [0] row and [1] column, and each one's candidate
-    # pixel indices along that axis with their squared offsets; a
-    # candidate off the canvas gets an infinite offset.
-    centers = np.empty((2, rows, n, 1))
-    centers[0, ..., 0] = last - (empirical - lo) * scale
-    centers[1, ..., 0] = (theoretical - lo) * scale
-    index = np.floor(centers).astype(int) + _OFFSETS
-    offset_sq = np.where((index >= 0) & (index <= last), (index - centers) ** 2, np.inf)
-    ok = offset_sq[0][..., :, None] + offset_sq[1][..., None, :] <= _POINT_RADIUS * _POINT_RADIUS
+    # pixel indices along that axis (offset k - 1 at [:, k]) with their
+    # squared offsets; a candidate off the canvas gets an infinite
+    # offset. Offsets lead, so each operation runs over rows x n.
+    centers = np.empty((2, 1, rows, n))
+    centers[0, 0] = last - (empirical - lo) * scale
+    centers[1, 0] = (theoretical - lo) * scale
+    # Flat indices fit int32 below 2**16 rows, which sorts twice as fast.
+    itype = np.int32 if rows < 1 << 16 else np.int64
+    index = np.floor(centers).astype(itype) + _OFFSETS.astype(itype)
+    offset_sq = (index - centers) ** 2
+    offset_sq[(index < 0) | (index > last)] = np.inf
+    ok = offset_sq[0][:, None] + offset_sq[1] <= _POINT_RADIUS * _POINT_RADIUS
     # Row r's image starts at flat index r * 128 * 128.
-    image_start = np.arange(0, rows * RASTER_SIZE * RASTER_SIZE, RASTER_SIZE * RASTER_SIZE)
-    row_index = index[0] * RASTER_SIZE + image_start[:, None, None]
-    flat = row_index[..., :, None] + index[1][..., None, :]
+    image_start = np.arange(0, rows * _SIZE, _SIZE, dtype=itype)[:, None]
+    flat = (index[0] * RASTER_SIZE + image_start)[:, None] + index[1]
+    points = np.compress(ok.reshape(-1), flat)  # far faster than flat[ok]
     images = np.empty((rows, RASTER_SIZE, RASTER_SIZE), dtype=np.uint8)
     images[:] = _LEVELS
-    images.reshape(-1)[flat[ok]] = _POINT_LEVEL
-    return images, lo, hi
+    images.reshape(-1)[points] = _POINT_LEVEL
+    keys = np.concatenate([points << 1, (image_start + _ANCHOR.astype(itype)).reshape(-1) << 1 | 1])
+    keys.sort()
+    pixel = keys >> 1
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(pixel[1:], pixel[:-1], out=first[1:])
+    level = _POINT_LEVEL - (np.compress(first, keys) & 1).astype(np.uint8)
+    return _Rendered(images, lo, hi, np.compress(first, pixel), level)
 
 
 def to_pgm(raster: QQRaster) -> bytes:

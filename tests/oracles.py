@@ -8,8 +8,10 @@ are the frozen_* functions: numpy copies of a package kernel before a
 rewrite, which the rewrite must match byte for byte. They are
 frozen_lmnn_objective, the metric learner's objective before its
 segment-sum form, frozen_ssim, the dense SSIM filter before its
-sparse row pass, and frozen_squared_distances, the per-row DNT
-quadratic form before its stacked kernel.
+sparse row pass, frozen_squared_distances, the per-row DNT
+quadratic form before its stacked kernel, and frozen_image_grid_rows
+and frozen_psnr, the dense ImageGrid and PSNR before their point-list
+kernels.
 """
 
 from __future__ import annotations
@@ -395,6 +397,60 @@ def frozen_ssim(pa: np.ndarray, pb: np.ndarray) -> float:
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
+
+
+def frozen_psnr(a: np.ndarray, b: np.ndarray, top=1.0) -> float:
+    """PSNR of intensities a / top against b, as the dense kernel took it; never to be edited."""
+    diff = a / top
+    diff -= b
+    mse = float(np.mean(np.square(diff, out=diff)))
+    return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
+
+
+_GRID_CELL = 16
+_GRID_CELLS = 128 // _GRID_CELL
+_GRID_INDEX = np.arange(128)
+_GRID_COUNTS = np.array([_GRID_CELL * _GRID_CELL, _GRID_CELL * (_GRID_CELL - 1), _GRID_CELL * (_GRID_CELL - 1)])
+
+
+def frozen_image_grid_rows(images: np.ndarray, top=2) -> np.ndarray:
+    """ImageGrid vectors of a (rows, 128, 128) block by dense planes; never to be edited.
+
+    images are uint8 levels with top 2, or float intensities with top
+    1.0, as the dense kernel took them before its point-list form.
+    """
+    rows = images.shape[0]
+    exact = images.dtype.kind != "f"
+    if exact:  # signed, so differences do not wrap
+        images = images.view(np.int8)
+    planes = np.empty((3, *images.shape), dtype=images.dtype)
+    planes[0] = images
+    np.subtract(images[:, :, 1:], images[:, :, :-1], out=planes[1, :, :, :-1])
+    np.subtract(images[:, 1:], images[:, :-1], out=planes[2, :, :-1])
+    np.abs(planes[1:], out=planes[1:])
+    planes[1, :, :, _GRID_CELL - 1 :: _GRID_CELL] = 0
+    planes[2, :, _GRID_CELL - 1 :: _GRID_CELL] = 0
+    narrow, wide = (np.int8, np.int16) if exact else (None, None)
+    by_cell_row = planes.reshape(3, rows, _GRID_CELLS, _GRID_CELL, 128)
+    columns = np.add.reduce(by_cell_row, axis=3, dtype=narrow)
+    sums = np.add.reduce(columns.reshape(3, rows, _GRID_CELLS, _GRID_CELLS, _GRID_CELL), axis=4, dtype=wide)
+    per_cell = (np.moveaxis(sums, 0, -1) / (top * _GRID_COUNTS)).reshape(rows, -1)
+
+    size = 128 * 128
+    total = sums[0].sum(axis=(1, 2))
+    point = (images == top).view(np.int8)
+    row_count = np.add.reduce(point, axis=2, dtype=np.int16)
+    col_count = np.add.reduce(point, axis=1, dtype=np.int16)
+    count = row_count.sum(axis=1)
+    if exact:  # levels 0, 1, 2 square to level + 2 * [level == 2]
+        var = (size * (total + 2 * count) - total * total) / (size * size * top * top)
+    else:
+        centered = (images - (total / size)[:, None, None]).reshape(rows, 1, size)
+        var = (centered @ centered.transpose(0, 2, 1)).reshape(rows) / size
+    row_mean = np.divide(row_count @ _GRID_INDEX, count, out=np.zeros(rows), where=count > 0)
+    col_mean = np.divide(col_count @ _GRID_INDEX, count, out=np.zeros(rows), where=count > 0)
+    global_stats = np.stack([total / (top * size), np.sqrt(var), row_mean, col_mean], axis=1)
+    return np.concatenate([per_cell, global_stats], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ without AVX-512. Each value's bytes must be equal in the two runs:
 - a 1,000-rep JB and GG calibration;
 - ``ad_from_u`` and ``glb_from_u`` on 1,000 sorted uniform vectors of
   100 (one value's sum hides most rounding changes in its logs);
-- the SSIM window taps.
+- the SSIM window taps;
+- the raster chain on a 200-row block of the fifteen cases: the render,
+  its lit-pixel list, and the ImageGrid, PSNR and SSIM kernels that
+  read the list (compared by SHA-256 of their bytes).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ AVX512_TARGETS = [
 ]
 
 _PROBE = r"""
-import json, sys
+import hashlib, json, sys
 import numpy as np
 try:
     from numpy._core import _multiarray_umath as _umath
@@ -51,8 +54,10 @@ except ImportError:
     from numpy.core import _multiarray_umath as _umath
 from dnt.classical import STATISTIC_NAMES, ad_from_u, glb_from_u, statistic_fn
 from dnt.engine import calibrate_cutoff
-from dnt.imagesim import _G
-from dnt.sampling import case_spec, sample
+from dnt.features import _image_grid_rows
+from dnt.imagesim import _G, SimilarityReference
+from dnt.qq import _render_rows
+from dnt.sampling import _z_scores, case_spec, sample
 
 targets, edge = json.loads(sys.stdin.read())
 hexes = {}
@@ -67,9 +72,19 @@ us = np.sort(np.random.default_rng(0).random((1000, 100)), axis=-1)
 hexes["ad_from_u"] = [ad_from_u(u) for u in us]
 hexes["glb_from_u"] = [glb_from_u(u) for u in us]
 hexes["SSIM taps"] = _G
+rows = np.stack([sample(case_spec(1 + i % 15), 100, 2000 + i).values for i in range(200)])
+rendered = _render_rows(_z_scores(rows, ascending=True))
+reference = SimilarityReference.ideal(100)
+chain = {
+    **rendered._asdict(),
+    "ImageGrid": _image_grid_rows(rendered),
+    "PSNR": reference._level_statistics(rendered, "PSNR"),
+    "SSIM": reference._level_statistics(rendered, "SSIM"),
+}
 print(json.dumps({
     "enabled": {name: bool(_umath.__cpu_features__[name]) for name in targets},
     "bytes": {key: np.asarray(v, dtype=np.float64).tobytes().hex() for key, v in hexes.items()},
+    "digests": {key: hashlib.sha256(v.tobytes()).hexdigest() for key, v in chain.items()},
 }))
 """
 
@@ -104,4 +119,6 @@ def test_bits_do_not_depend_on_avx512_dispatch() -> None:
     assert all(default["enabled"].values()), default["enabled"]
     assert not any(without["enabled"].values()), without["enabled"]
     moved = sorted(key for key in default["bytes"] if default["bytes"][key] != without["bytes"][key])
+    moved += sorted(key for key in default["digests"] if default["digests"][key] != without["digests"][key])
+    assert len(default["digests"]) == 8
     assert not moved, f"bits differ with {' '.join(AVX512_TARGETS)} disabled: {moved}"

@@ -1226,3 +1226,18 @@ class TestWrittenBack:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match=rf"^{re.escape(level)}(\.extra: |: unknown key\(s\) extra;)"):
             load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, source, count",
+        [({"h0_pool": 61}, "h0_pool", 61), ({"fresh_null_count": 59}, "fresh_null_count", 59)],
+        ids=["h0_pool", "fresh_null_count"],
+    )
+    def test_a_null_distance_count_off_the_config_is_refused(self, tmp_path, edit, source, count):
+        """The edited config is canonical, so only the count check sees it."""
+        payload = json.loads(TINY_FILE.read_text())
+        payload["config"].update(edit)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        want = rf"^model\.null_distances: the file has 60 values where config\.{source} gives {count}$"
+        with pytest.raises(FormatError, match=want):
+            load_model(str(path))

@@ -27,7 +27,7 @@ from dnt.features import (
 )
 from dnt.qq import RASTER_SIZE, QQRaster, _render_rows, qq_points, rasterize
 from dnt.sampling import _z_scores, case_spec, sample
-from test_qq import EDGE_BLOCK, benchmark_block
+from test_qq import EDGE_BLOCK, benchmark_block, lit_block
 
 
 class TestExtractRaw:
@@ -152,13 +152,15 @@ class TestImageGridRows:
 
     @staticmethod
     def assert_rows_match(samples: np.ndarray) -> None:
-        levels = _render_rows(_z_scores(samples, ascending=True))[0]
-        block = _image_grid_rows(levels)
+        rendered = _render_rows(_z_scores(samples, ascending=True))
+        block = _image_grid_rows(rendered)
         assert block.shape == (len(samples), IMAGE_GRID_LENGTH)
-        # The same images as float pixels take the float path, bit for bit.
-        assert _image_grid_rows(levels / 2, 1.0).tobytes() == block.tobytes()
+        assert block.tobytes() == oracles.frozen_image_grid_rows(rendered.levels).tobytes()
         for i, x in enumerate(samples):
-            assert block[i].tobytes() == extract_image(rasterize(qq_points(x))).tobytes()
+            raster = rasterize(qq_points(x))
+            assert block[i].tobytes() == extract_image(raster).tobytes()
+            # The same image as float pixels takes the dense float path, bit for bit.
+            assert block[i].tobytes() == extract_image(QQRaster(raster.pixels, (0.0, 1.0))).tobytes()
 
     @pytest.mark.parametrize("n", [3, 5, 10, 11, 100, 500])
     def test_benchmark_rows_match_byte_for_byte(self, n: int) -> None:
@@ -171,7 +173,7 @@ class TestImageGridRows:
         """A row with no point-level pixel gives 0.0, not a division by zero."""
         levels = np.zeros((2, RASTER_SIZE, RASTER_SIZE), dtype=np.uint8)
         levels[1, 5, 7] = 2
-        block = _image_grid_rows(levels)
+        block = _image_grid_rows(lit_block(levels))
         assert block[0, -2:].tolist() == [0.0, 0.0]
         assert block[1, -2:].tolist() == [5.0, 7.0]
 

@@ -34,6 +34,7 @@ from dnt.qq import (
     _POINT_LEVEL,
     RASTER_SIZE,
     QQRaster,
+    _Rendered,
     _render_rows,
     ideal_points,
     qq_points,
@@ -172,10 +173,10 @@ class TestSimilarityScore:
             SimilarityScore("MSE", 0.1)
 
 
-def _levels(case: int, n: int, rows: int) -> np.ndarray:
-    """The rendered level block of rows replicates of a case, as a power-study chunk."""
+def _levels(case: int, n: int, rows: int) -> _Rendered:
+    """The rendered block of rows replicates of a case, as a power-study chunk."""
     block = np.stack([sample(case_spec(case), n, seed).values for seed in range(rows)])
-    return _render_rows(_z_scores(block, ascending=True))[0]
+    return _render_rows(_z_scores(block, ascending=True))
 
 
 def _frozen_statistics(reference: SimilarityReference, images) -> np.ndarray:
@@ -201,17 +202,17 @@ class TestSparseFilter:
     def test_level_block_matches_the_dense_filter(self, case) -> None:
         """An 81-row chunk (n=100), so the last sub-block is short."""
         reference = SimilarityReference.ideal(100)
-        levels = _levels(case, 100, 81)
-        got = reference._level_statistics(levels, "SSIM")
-        want = _frozen_statistics(reference, levels / _POINT_LEVEL)
+        rendered = _levels(case, 100, 81)
+        got = reference._level_statistics(rendered, "SSIM")
+        want = _frozen_statistics(reference, rendered.levels / _POINT_LEVEL)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", range(1, 2 * _SSIM_BLOCK + 2))
     def test_every_sub_block_split_matches(self, rows) -> None:
         reference = SimilarityReference.ideal(40)
-        levels = _levels(13, 40, rows)
-        got = reference._level_statistics(levels, "SSIM")
-        assert got.tobytes() == _frozen_statistics(reference, levels / _POINT_LEVEL).tobytes()
+        rendered = _levels(13, 40, rows)
+        got = reference._level_statistics(rendered, "SSIM")
+        assert got.tobytes() == _frozen_statistics(reference, rendered.levels / _POINT_LEVEL).tobytes()
 
     def test_points_on_the_border_match(self) -> None:
         """Points on rows and columns 0 and 127, as candidate and as reference."""
@@ -257,9 +258,9 @@ class TestSparseFilter:
 
     def test_one_raster_is_its_row_of_a_block(self) -> None:
         reference = SimilarityReference.ideal(60)
-        levels = _levels(9, 60, 2 * _SSIM_BLOCK + 1)
-        block = reference._level_statistics(levels, "SSIM")
-        for row, image in zip(block, levels):
+        rendered = _levels(9, 60, 2 * _SSIM_BLOCK + 1)
+        block = reference._level_statistics(rendered, "SSIM")
+        for row, image in zip(block, rendered.levels):
             candidate = QQRaster(image / _POINT_LEVEL, (0.0, 1.0))
             assert np.float64(reference.statistic(candidate, "SSIM")).tobytes() == row.tobytes()
 

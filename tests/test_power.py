@@ -468,7 +468,7 @@ class TestBlockScoring:
         model = small_bank.models[name]
         chunk = case_chunks(1)[0]
         z = _z_scores(chunk, ascending=True)
-        features = z if name == "DNT-raw" else _image_grid_rows(_render_rows(z)[0])
+        features = z if name == "DNT-raw" else _image_grid_rows(_render_rows(z))
         assert not features[:, model.selection.mask].flags.c_contiguous
         want = np.array([dnt_test(x, model).statistic for x in chunk])
         got = _squared_distances(

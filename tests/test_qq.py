@@ -24,6 +24,7 @@ from dnt.qq import (
     RASTER_SIZE,
     QQPoints,
     QQRaster,
+    _Rendered,
     _render_rows,
     ideal_points,
     plotting_positions,
@@ -236,6 +237,17 @@ def benchmark_block(n: int) -> np.ndarray:
     ])
 
 
+def lit_block(levels: np.ndarray) -> _Rendered:
+    """The rendered form of hand-made (rows, 128, 128) uint8 level images.
+
+    Its lit list is their nonzero pixels, each once, in ascending order,
+    as ``_render_rows`` lists a block it renders.
+    """
+    lit = np.flatnonzero(levels)
+    lo = np.zeros((len(levels), 1))
+    return _Rendered(levels, lo, lo + 1.0, lit, levels.reshape(-1)[lit])
+
+
 EDGE_BLOCK = np.stack([
     np.concatenate([np.zeros(99), [1e6]]),  # extreme outlier
     np.repeat(np.arange(5.0), 20),  # integer ties
@@ -247,8 +259,11 @@ class TestRenderRows:
 
     @staticmethod
     def assert_rows_match(samples: np.ndarray) -> None:
-        levels, lo, hi = _render_rows(_z_scores(samples, ascending=True))
+        levels, lo, hi, lit, lit_levels = _render_rows(_z_scores(samples, ascending=True))
         assert levels.dtype == np.uint8 and levels.shape == (len(samples), 128, 128)
+        # The lit list is the block's nonzero pixels, each once, in order, with their levels.
+        assert lit.tobytes() == np.flatnonzero(levels).astype(lit.dtype).tobytes()
+        assert lit_levels.tobytes() == levels.reshape(-1)[lit].tobytes()
         for i, x in enumerate(samples):
             raster = rasterize(qq_points(x))
             assert (levels[i] / 2).tobytes() == raster.pixels.tobytes()
@@ -264,7 +279,7 @@ class TestRenderRows:
     def test_discs_clipped_at_the_corners_stay_in_their_own_image(self) -> None:
         """Off-canvas candidates are dropped, not wrapped into a neighbouring row or image."""
         block = np.stack([CORNER_AXIS, CORNER_AXIS[[0, 0, 2]]])
-        levels, _, _ = _render_rows(block, CORNER_AXIS)
+        levels = _render_rows(block, CORNER_AXIS).levels
         for i, empirical in enumerate(block):
             pixels, _ = _oracle_raster(QQPoints(CORNER_AXIS, empirical))
             assert rasterize(QQPoints(CORNER_AXIS, empirical)).pixels.tobytes() == pixels.tobytes()
@@ -273,12 +288,18 @@ class TestRenderRows:
         assert corners.tolist() == [[0, 2, 2, 0], [0, 2, 2, 0]]
 
     def test_rows_do_not_depend_on_their_neighbours(self) -> None:
-        """Reversing the block reverses its images and ranges."""
+        """Reversing the block reverses its images, ranges and lit lists."""
         z = _z_scores(benchmark_block(11), ascending=True)
         forward = _render_rows(z)
         backward = _render_rows(z[::-1].copy())
-        for a, b in zip(forward, backward):
+        for a, b in zip(forward[:3], backward[:3]):
             assert a.tobytes() == b[::-1].tobytes()
+        rows = len(z)
+        for i in range(rows):
+            mine = forward.lit // (128 * 128) == i
+            theirs = backward.lit // (128 * 128) == rows - 1 - i
+            assert (forward.lit[mine] % (128 * 128)).tobytes() == (backward.lit[theirs] % (128 * 128)).tobytes()
+            assert forward.lit_levels[mine].tobytes() == backward.lit_levels[theirs].tobytes()
 
     def test_rejects_too_few_points_and_zero_spread(self) -> None:
         with pytest.raises(InvalidArgumentError):
