@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import oracles
+import test_qq
 from dnt.engine import _chunks
 from dnt.features import _image_grid_rows, extract_image
 from dnt.imagesim import SimilarityReference
@@ -38,7 +39,7 @@ from dnt.qq import (
     rasterize,
 )
 from dnt.sampling import SeedScheme, _z_scores, case_spec, sample
-from test_qq import CORNER_AXIS, EDGE_BLOCK, TestGoldenRasters, lit_block
+from test_qq import CORNER_AXIS, EDGE_BLOCK, lit_block
 
 LAST = RASTER_SIZE - 1
 
@@ -114,7 +115,7 @@ class TestRenderedChunks:
 class TestGoldenRasters:
     """The one-row calls on the golden rasters of test_qq."""
 
-    @pytest.mark.parametrize("case, seed, n", sorted(TestGoldenRasters.PINS))
+    @pytest.mark.parametrize("case, seed, n", sorted(test_qq.TestGoldenRasters.PINS))
     def test_one_row_calls(self, case, seed, n) -> None:
         raster = rasterize(qq_points(sample(case_spec(case), n, seed)))
         assert_lit_list(raster._rendered)
