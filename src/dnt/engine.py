@@ -42,6 +42,7 @@ from .features import (
     IMAGE_GRID_LENGTH,
     SelectionModel,
     _image_grid_rows,
+    _top_d,
     extract_image,
     extract_raw,
     fit_selection,
@@ -588,6 +589,8 @@ def load_model(path: str) -> DNTModel:
         )
     except InvalidArgumentError as exc:
         raise FormatError(f"model: {exc}") from None
+    if not np.array_equal(selection.mask, _top_d(selection.scores, config.d)):
+        raise FormatError("model.selection.mask: not the top config.d of model.selection.scores")
     _check_written(_layout(model), payload, "model")
     # train keeps one null distance per calibration sample; a canonical config can still disagree.
     source = "fresh_null_count" if config.fresh_null_count else "h0_pool"

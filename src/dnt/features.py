@@ -4,17 +4,14 @@ Two extractors: RawOrder (the sorted standardized sample itself) and
 ImageGrid (cell statistics of the 128x128 raster plus four global
 summaries, 196 features). Its kernel, ``_image_grid_rows``, scores a
 rendered block from its lit pixels (``qq._render_rows``), and
-``extract_image`` is its one-row call on a rendered raster. Every
-statistic of a rendered raster is an integer sum of levels divided
-once: a cell's pixel sum and inner absolute differences, the level
-total, and the point count, rows and columns. Integer sums are exact
-in any order, so the lit-pixel sums give the dense planes' values bit
-for bit. A difference is nonzero only on an edge with a lit end; each
-lit pixel adds the edge to its next pixel, and the edge from its
-previous pixel when that one is dark, so each edge is added once. A
-raster that ``rasterize`` did not render has no lit list, and its
-pixels may be any floats, whose sums round by order; ``extract_image``
-keeps the dense form, ``_pixel_grid``, for it.
+``extract_image`` is its one-row call on a raster's block. Every
+statistic of a raster is an integer sum of levels divided once: a
+cell's pixel sum and inner absolute differences, the level total, and
+the point count, rows and columns. Integer sums are exact in any
+order, so the lit-pixel sums give the dense planes' values bit for
+bit. A difference is nonzero only on an edge with a lit end; each lit
+pixel adds the edge to its next pixel, and the edge from its previous
+pixel when that one is dark, so each edge is added once.
 
 Selection keeps the d features with the largest Welch-style
 separation between a null and an alternative class; it is closed-form
@@ -45,7 +42,6 @@ EXTRACTOR_IDS = ("RawOrder", "ImageGrid")
 _CELL = 16
 _GRID = RASTER_SIZE // _CELL
 IMAGE_GRID_LENGTH = _GRID * _GRID * 3 + 4
-_INDEX = np.arange(RASTER_SIZE)
 # Values behind each cell statistic: pixels, then inner differences across and down.
 _CELL_COUNTS = np.array([_CELL * _CELL, _CELL * (_CELL - 1), _CELL * (_CELL - 1)])
 # Each level sum's divisor, in feature order: the point level times the count.
@@ -95,9 +91,7 @@ def extract_image(r: QQRaster) -> np.ndarray:
     mean, population sd, and the mean row and column index of the
     point-level (intensity 1.0) pixels, 0.0 when there are none.
     """
-    if r._rendered is not None:
-        return _image_grid_rows(r._rendered)[0]
-    return _pixel_grid(r.pixels)
+    return _image_grid_rows(r._block)[0]
 
 
 def _image_grid_rows(rendered: _Rendered) -> np.ndarray:
@@ -144,32 +138,6 @@ def _image_grid_rows(rendered: _Rendered) -> np.ndarray:
     return np.concatenate([per_cell, global_stats], axis=1)
 
 
-def _pixel_grid(pixels: np.ndarray) -> np.ndarray:
-    """ImageGrid vector of one float raster, from its dense planes."""
-    images = pixels[np.newaxis]
-    planes = np.empty((3, *images.shape))  # every entry is written
-    planes[0] = images
-    np.subtract(images[:, :, 1:], images[:, :, :-1], out=planes[1, :, :, :-1])
-    np.subtract(images[:, 1:], images[:, :-1], out=planes[2, :, :-1])
-    np.abs(planes[1:], out=planes[1:])
-    planes[1, :, :, _CELL - 1 :: _CELL] = 0
-    planes[2, :, _CELL - 1 :: _CELL] = 0
-    by_cell_row = planes.reshape(3, 1, _GRID, _CELL, RASTER_SIZE)
-    columns = np.add.reduce(by_cell_row, axis=3)
-    sums = np.add.reduce(columns.reshape(3, 1, _GRID, _GRID, _CELL), axis=4)
-    per_cell = (np.moveaxis(sums, 0, -1) / _CELL_COUNTS).reshape(-1)
-
-    size = _SIZE
-    total = sums[0].sum(axis=(1, 2))[0]
-    point = (pixels == 1.0).view(np.int8)
-    count = int(point.sum())
-    centered = (images - total / size).reshape(1, 1, size)
-    var = (centered @ centered.transpose(0, 2, 1)).reshape(()) / size
-    row_mean = np.add.reduce(point, axis=1, dtype=np.int16) @ _INDEX / count if count else 0.0
-    col_mean = np.add.reduce(point, axis=0, dtype=np.int16) @ _INDEX / count if count else 0.0
-    return np.concatenate([per_cell, [total / size, np.sqrt(var), row_mean, col_mean]])
-
-
 def _as_matrix(x, what: str) -> np.ndarray:
     """x as a finite (rows >= 2, features) float matrix."""
     matrix = _array(x, what, ndim=2)
@@ -198,5 +166,9 @@ def fit_selection(h0: np.ndarray, h1: np.ndarray, d: int) -> SelectionModel:
         + 1e-12
     )
     scores = gap / se
-    top = np.argsort(-scores, kind="stable")[:d]
-    return SelectionModel(scores, np.sort(top))
+    return SelectionModel(scores, _top_d(scores, d))
+
+
+def _top_d(scores: np.ndarray, d: int) -> np.ndarray:
+    """The indices of the d largest scores, ascending; ties rank the lower index first."""
+    return np.sort(np.argsort(-scores, kind="stable")[:d])

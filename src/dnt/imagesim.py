@@ -13,10 +13,9 @@ of rasters against the same reference. Its one block method,
 
 One kernel, ``_window_sums``, filters a block of images: the window
 sums of pa, pa*pa and pa*pb, where pb is the reference. It takes pa as
-its lit pixels, each once, with their intensities: a rendered block's
-list (``qq._render_rows``; about 490 of 16,384 pixels a raster), or the
-nonzero pixels of any other raster. It gives the dense separable filter
-bit for bit:
+its lit pixels, each once, with their intensities: a block's list
+(``qq._render_rows``, or a raster's own; about 490 of 16,384 pixels a
+raster). It gives the dense separable filter bit for bit:
 
 - The dense row pass (a strided matmul, which numpy does not hand to
   BLAS) sums pixel * tap from a zero start, tap 0 to 10 in order. The
@@ -43,16 +42,11 @@ halves, the map four times their ratio, and the mean four times the
 mean of the quarters, so -4.0 * mean gives the dense formula's bits.
 mu_a*mu_b is formed once, and the reference's mu_b*mu_b once.
 
-PSNR of a rendered block against a reference of levels counts. Every
-squared error is a multiple of 0.25, so the sum over the 16,384 pixels
-is S * 0.25 for an integer S, the sum of (La - Lb)^2 over the levels,
-and np.mean's value is exactly (S * 0.25) / 16384. S is the reference's
-own sum plus an integer correction at the candidate's lit pixels.
-
-A raster that ``rasterize`` did not render has no lit list, and its
-pixels may be any floats, so ``psnr``, ``ssim`` and ``statistic`` on it
-keep a dense form: ``_psnr``, and the kernel over its nonzero pixels.
-So does PSNR against a reference whose pixels are not all levels.
+PSNR counts levels. Every squared error is a multiple of 0.25, so the
+sum over the 16,384 pixels is S * 0.25 for an integer S, the sum of
+(La - Lb)^2 over the levels, and np.mean's value is exactly
+(S * 0.25) / 16384. S is the reference's own sum plus an integer
+correction at the candidate's lit pixels.
 """
 
 from __future__ import annotations
@@ -178,10 +172,17 @@ def _decibels(mse: float) -> float:
     return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
 
 
-def _psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """PSNR of float intensities a against b, through one temporary."""
-    diff = a - b
-    return _decibels(float(np.mean(np.square(diff, out=diff))))
+def _psnr_rows(rendered: _Rendered, reference: QQRaster) -> np.ndarray:
+    """PSNR of each image of a rendered block against reference, by level counts.
+
+    See the module docstring for why this is np.mean's value bit for bit.
+    """
+    rows, lit = rendered.levels.shape[0], rendered.lit
+    own = reference._block.lit_levels.astype(np.int64)
+    b = reference.levels.reshape(-1)[lit % _SIZE].astype(np.int64)
+    d = rendered.lit_levels - b
+    counts = int(own @ own) + np.bincount(lit // _SIZE, d * d - b * b, minlength=rows)
+    return np.array([_decibels(s * 0.25 / _SIZE) for s in counts.tolist()])
 
 
 def _raster(value, what: str) -> QQRaster:
@@ -193,7 +194,7 @@ def _raster(value, what: str) -> QQRaster:
 
 def psnr(a: QQRaster, b: QQRaster) -> SimilarityScore:
     """10 log10(1/MSE) on [0,1] intensities; identical images give +inf."""
-    return SimilarityScore("PSNR", _psnr(_raster(a, "a").pixels, _raster(b, "b").pixels))
+    return SimilarityScore("PSNR", float(_psnr_rows(_raster(a, "a")._block, _raster(b, "b"))[0]))
 
 
 def ssim(a: QQRaster, b: QQRaster) -> SimilarityScore:
@@ -207,16 +208,11 @@ class SimilarityReference:
     def __init__(self, reference: QQRaster):
         self.raster = _raster(reference, "reference")
         self._pixels = reference.pixels
-        lit = np.flatnonzero(self._pixels)
-        sums = _window_sums(lit, self._pixels.reshape(-1)[lit], self._pixels, 1)[:, 0]
+        block = reference._block
+        sums = _window_sums(block.lit, _INTENSITY[block.lit_levels], self._pixels, 1)[:, 0]
         self._mu = sums[0].copy()
         self._mu_sq = self._mu * self._mu
         self._var = sums[1] - self._mu_sq
-        # The levels of a rendered reference, for PSNR by counts; None off the levels.
-        levels = self._pixels.reshape(-1) * _POINT_LEVEL
-        self._levels = levels.astype(int) if np.array_equal(levels, np.floor(levels)) else None
-        if self._levels is not None:
-            self._sum_sq = int(self._levels @ self._levels)
 
     @classmethod
     def ideal(cls, n: int) -> "SimilarityReference":
@@ -226,16 +222,9 @@ class SimilarityReference:
     def statistic(self, candidate: QQRaster, metric: str) -> float:
         """Negated similarity to the reference; larger means less normal.
 
-        A raster that ``rasterize`` rendered is scored from its lit
-        pixels, as a one-row block; any other raster, by its pixels.
+        The candidate is scored as a one-row block.
         """
-        raster = _raster(candidate, "candidate")
-        if raster._rendered is not None:
-            return float(self._level_statistics(raster._rendered, metric)[0])
-        if _metric(metric) == "PSNR":
-            return -_psnr(raster.pixels, self._pixels)
-        lit = np.flatnonzero(raster.pixels)
-        return float(self._ssim_rows(lit, raster.pixels.reshape(-1)[lit], 1)[0])
+        return float(self._level_statistics(_raster(candidate, "candidate")._block, metric)[0])
 
     def _level_statistics(self, rendered: _Rendered, metric: str) -> np.ndarray:
         """The statistic of each image of a rendered block (``qq._render_rows``).
@@ -244,25 +233,17 @@ class SimilarityReference:
         depend on the block it is in. SSIM takes _SSIM_BLOCK images per
         kernel call.
         """
-        rows = rendered.levels.shape[0]
-        lit, lit_levels = rendered.lit, rendered.lit_levels
         if _metric(metric) == "SSIM":
-            return self._ssim_rows(lit, _INTENSITY[lit_levels], rows)
-        if self._levels is None:
-            images = np.zeros((rows, _SIZE))
-            images.reshape(-1)[lit] = _INTENSITY[lit_levels]
-            return np.array([-_psnr(image.reshape(self._pixels.shape), self._pixels) for image in images])
-        b = self._levels[lit % _SIZE]
-        d = lit_levels - b
-        counts = self._sum_sq + np.bincount(lit // _SIZE, d * d - b * b, minlength=rows)
-        return np.array([-_decibels(s * 0.25 / _SIZE) for s in counts.tolist()])
+            return self._ssim_rows(rendered)
+        return -_psnr_rows(rendered, self.raster)
 
-    def _ssim_rows(self, lit: np.ndarray, a: np.ndarray, rows: int) -> np.ndarray:
-        """Negated mean SSIM of each image of a block given by its lit pixels.
+    def _ssim_rows(self, rendered: _Rendered) -> np.ndarray:
+        """Negated mean SSIM of each image of a rendered block, from its lit pixels.
 
         The map runs in place on the window sums, in this thread's
         scratch, at a quarter of its value (see the module docstring).
         """
+        rows, lit, a = rendered.levels.shape[0], rendered.lit, _INTENSITY[rendered.lit_levels]
         starts = range(0, rows, _SSIM_BLOCK)
         bounds = np.searchsorted(lit, np.array([*starts, rows]) * _SIZE)
         quarter = _scratch()[2]

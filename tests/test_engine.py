@@ -1227,6 +1227,16 @@ class TestWrittenBack:
         with pytest.raises(FormatError, match=rf"^{re.escape(level)}(\.extra: |: unknown key\(s\) extra;)"):
             load_model(str(path))
 
+    def test_a_mask_off_the_top_d_of_the_scores_is_refused(self, tmp_path):
+        """The best-ranked index swapped for the 11th: a valid mask that fit_selection never keeps."""
+        payload = json.loads(TINY_FILE.read_text())
+        scores = np.frombuffer(base64.b64decode(payload["selection"]["scores"]), dtype="<f8")
+        ranked = np.argsort(-scores, kind="stable")
+        d = payload["config"]["d"]
+        mask = np.sort(np.append(ranked[1:d], ranked[d])).astype("<i8")
+        payload["selection"]["mask"] = base64.b64encode(mask.tobytes()).decode("ascii")
+        _refused(payload, tmp_path, "selection.mask")
+
     @pytest.mark.parametrize(
         "edit, source, count",
         [({"h0_pool": 61}, "h0_pool", 61), ({"fresh_null_count": 59}, "fresh_null_count", 59)],

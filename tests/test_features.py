@@ -105,10 +105,10 @@ class TestExtractImage:
         assert vec[-1] == pytest.approx(cols.mean(), abs=1e-12)
 
     def test_point_free_raster_zeroes_position_features(self) -> None:
-        """With no full-intensity pixels the mean row/col default to 0."""
+        """With no point-level pixels the mean row/col default to 0."""
         from dnt.qq import QQRaster, RASTER_SIZE
 
-        raster = QQRaster(np.full((RASTER_SIZE, RASTER_SIZE), 0.25), (0.0, 1.0))
+        raster = QQRaster(np.ones((RASTER_SIZE, RASTER_SIZE), dtype=np.uint8), (0.0, 1.0))
         vec = extract_image(raster)
         assert vec[-2] == 0.0
         assert vec[-1] == 0.0
@@ -137,14 +137,12 @@ class TestExtractImageOracle:
         expected = np.array(oracles.oracle_extract_image(raster.pixels.tolist()))
         assert extract_image(raster).tobytes() == expected.tobytes()
 
-    def test_non_dyadic_raster_matches_to_rounding(self) -> None:
-        """Arbitrary intensities round differently by summation order, never by more."""
-        pixels = np.random.default_rng(8).uniform(0.0, 1.0, (RASTER_SIZE, RASTER_SIZE))
-        pixels[10:20, 30:40] = 1.0
-        pixels[64:, :] = 0.3
-        raster = QQRaster(pixels, (-1.0, 1.0))
-        expected = oracles.oracle_extract_image(raster.pixels.tolist())
-        assert np.allclose(extract_image(raster), expected, rtol=0.0, atol=1e-12)
+    def test_random_levels_match_bit_for_bit(self) -> None:
+        """A dense image of random levels, about two thirds of its pixels lit."""
+        levels = np.random.default_rng(8).integers(0, 3, (RASTER_SIZE, RASTER_SIZE))
+        raster = QQRaster(levels, (-1.0, 1.0))
+        expected = np.array(oracles.oracle_extract_image(raster.pixels.tolist()))
+        assert extract_image(raster).tobytes() == expected.tobytes()
 
 
 class TestImageGridRows:
@@ -159,8 +157,8 @@ class TestImageGridRows:
         for i, x in enumerate(samples):
             raster = rasterize(qq_points(x))
             assert block[i].tobytes() == extract_image(raster).tobytes()
-            # The same image as float pixels takes the dense float path, bit for bit.
-            assert block[i].tobytes() == extract_image(QQRaster(raster.pixels, (0.0, 1.0))).tobytes()
+            # The block's levels as a raster of their own, with another value range.
+            assert block[i].tobytes() == extract_image(QQRaster(rendered.levels[i], (0.0, 1.0))).tobytes()
 
     @pytest.mark.parametrize("n", [3, 5, 10, 11, 100, 500])
     def test_benchmark_rows_match_byte_for_byte(self, n: int) -> None:

@@ -8,11 +8,11 @@ in oracles.py (``frozen_image_grid_rows``, ``frozen_psnr`` and
 
 - an 81-row chunk (n=100) of every benchmark case, as the power study
   scores it;
-- the golden rasters of test_qq, through the one-row public calls, and
-  the same pixels as a plain float raster, which takes the dense path;
+- the golden rasters of test_qq, through the one-row public calls;
 - overlapping discs, points on the anchor line, and points on rows and
   columns 0 and 127, rendered and hand-made, against the ideal
-  reference and against references of their own.
+  reference, against references of their own and against a reference
+  of random levels.
 
 SSIM's column pass is a BLAS product, so CI also runs this file at two
 BLAS threads, and at the oldest numpy that pyproject.toml allows.
@@ -66,15 +66,14 @@ def assert_kernels_match(rendered, reference: SimilarityReference) -> None:
 
 
 def assert_one_row_calls_match(raster: QQRaster, reference: SimilarityReference) -> None:
-    """extract_image and statistic on a raster, and on its pixels as a plain float raster."""
+    """extract_image and statistic on a raster, against the dense kernels on its pixels."""
     pb = reference.raster.pixels
     want_grid = oracles.frozen_image_grid_rows(raster.pixels[np.newaxis], 1.0)[0]
     want = {"PSNR": -oracles.frozen_psnr(raster.pixels, pb), "SSIM": -oracles.frozen_ssim(raster.pixels, pb)}
-    for candidate in (raster, QQRaster(raster.pixels, raster.value_range)):
-        assert extract_image(candidate).tobytes() == want_grid.tobytes()
-        for metric, value in want.items():
-            got = reference.statistic(candidate, metric)
-            assert np.float64(got).tobytes() == np.float64(value).tobytes(), metric
+    assert extract_image(raster).tobytes() == want_grid.tobytes()
+    for metric, value in want.items():
+        got = reference.statistic(raster, metric)
+        assert np.float64(got).tobytes() == np.float64(value).tobytes(), metric
 
 
 def _hand_made() -> np.ndarray:
@@ -118,7 +117,7 @@ class TestGoldenRasters:
     @pytest.mark.parametrize("case, seed, n", sorted(test_qq.TestGoldenRasters.PINS))
     def test_one_row_calls(self, case, seed, n) -> None:
         raster = rasterize(qq_points(sample(case_spec(case), n, seed)))
-        assert_lit_list(raster._rendered)
+        assert_lit_list(raster._block)
         assert_one_row_calls_match(raster, SimilarityReference.ideal(n))
 
 
@@ -154,17 +153,15 @@ class TestEdgeConfigurations:
     @pytest.mark.parametrize("image", range(4))
     def test_hand_made_levels_as_the_reference(self, image) -> None:
         """A reference of points on the border or the anchor, against a rendered chunk."""
-        reference = SimilarityReference(QQRaster(_hand_made()[image] / _POINT_LEVEL, (0.0, 1.0)))
+        reference = SimilarityReference(QQRaster(_hand_made()[image], (0.0, 1.0)))
         _, block = next(_chunks(case_spec(3), 20, 100, SeedScheme(28), "test"))
         assert_kernels_match(_render_rows(_z_scores(block, ascending=True)), reference)
         assert_kernels_match(lit_block(_hand_made()), reference)
 
-    def test_a_reference_off_the_levels_takes_the_dense_psnr(self) -> None:
-        """PSNR by counts needs a level reference; any other gets np.mean's bits."""
-        pixels = np.random.default_rng(28).uniform(0.0, 1.0, (RASTER_SIZE, RASTER_SIZE))
-        reference = SimilarityReference(QQRaster(pixels, (0.0, 1.0)))
-        assert reference._levels is None
+    def test_a_reference_of_random_levels(self) -> None:
+        """A reference lit at about two thirds of its pixels, far beyond any Q-Q raster."""
+        levels = np.random.default_rng(28).integers(0, 3, (RASTER_SIZE, RASTER_SIZE))
+        reference = SimilarityReference(QQRaster(levels, (0.0, 1.0)))
         _, block = next(_chunks(case_spec(8), 9, 100, SeedScheme(28), "test"))
         assert_kernels_match(_render_rows(_z_scores(block, ascending=True)), reference)
-        raster = rasterize(qq_points(block[0]))
-        assert_one_row_calls_match(raster, reference)
+        assert_one_row_calls_match(rasterize(qq_points(block[0])), reference)

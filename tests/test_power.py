@@ -523,9 +523,9 @@ class TestSimilarityNullStatistic:
 
     @pytest.mark.parametrize("name", ["PSNR", "SSIM"])
     def test_block_form_matches_against_any_reference(self, name):
-        """A reference with arbitrary intensities, so no sum is exact by construction."""
-        pixels = np.random.default_rng(3).uniform(0.0, 1.0, (128, 128))
-        statistic = null_statistic(name, 40, SimilarityReference(QQRaster(pixels, (0.0, 1.0))))
+        """A reference of random levels, lit far beyond any Q-Q raster."""
+        levels = np.random.default_rng(3).integers(0, 3, (128, 128))
+        statistic = null_statistic(name, 40, SimilarityReference(QQRaster(levels, (0.0, 1.0))))
         chunk = [sample(case_spec(case), 40, 7) for case in range(1, 16)]
         block = statistic.calibration_rows(np.stack([x.values for x in chunk]))
         assert block.tobytes() == np.array([statistic(x) for x in chunk]).tobytes()

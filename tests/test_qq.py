@@ -7,6 +7,7 @@ Tests cover:
 - raster geometry: anchor line, point discs, orientation, value range
 - rasters bit-identical to a per-pixel oracle, and pinned by digest
 - the block renderer, row by row against rasterize
+- the QQRaster constructor: levels 0, 1 and 2 stored as uint8, anything else refused
 - PGM encoding
 """
 
@@ -20,7 +21,9 @@ import pytest
 import oracles
 from dnt.errors import InvalidArgumentError
 from dnt.features import extract_image
+from dnt.imagesim import psnr, ssim
 from dnt.qq import (
+    _LEVELS,
     RASTER_SIZE,
     QQPoints,
     QQRaster,
@@ -358,18 +361,80 @@ class TestToPgm:
 
     def test_intensity_mapping_rounds_half_up(self) -> None:
         """Levels are floor(v*255 + 0.5): 0 -> 0, 0.5 -> 128, 1 -> 255."""
-        pixels = np.zeros((RASTER_SIZE, RASTER_SIZE))
-        pixels[0, 0] = 0.5
-        pixels[0, 1] = 1.0
-        raster = QQRaster(pixels, (0.0, 1.0))
+        levels = np.zeros((RASTER_SIZE, RASTER_SIZE), dtype=np.uint8)
+        levels[0, 0] = 1
+        levels[0, 1] = 2
+        raster = QQRaster(levels, (0.0, 1.0))
         payload = to_pgm(raster)[-RASTER_SIZE * RASTER_SIZE :]
         assert payload[0] == 128
         assert payload[1] == 255
         assert payload[2] == 0
 
-    def test_raster_refuses_a_nan_pixel(self) -> None:
-        """A NaN pixel passes the [0, 1] range test, so it is refused as non-finite."""
-        pixels = np.zeros((RASTER_SIZE, RASTER_SIZE))
-        pixels[5, 7] = np.nan
-        with pytest.raises(InvalidArgumentError):
-            QQRaster(pixels, (0.0, 1.0))
+
+def _with(value, at=(5, 7), dtype=np.int64) -> np.ndarray:
+    """The anchor-line levels as dtype, with value at one pixel."""
+    levels = _LEVELS.astype(dtype)
+    levels[at] = value
+    return levels
+
+
+class TestQQRaster:
+    """The constructor stores levels 0, 1 and 2 as a read-only uint8 copy and refuses anything else.
+
+    numpy 1.x and 2.x cast and compare integers by different rules (NEP 50),
+    so CI also runs this class at the oldest numpy that pyproject.toml allows.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int8, np.uint64, bool])
+    def test_integer_and_bool_levels_are_stored_as_uint8(self, dtype) -> None:
+        given = _LEVELS.astype(dtype)
+        raster = QQRaster(given, (0.0, 1.0))
+        assert raster.levels.dtype == np.uint8 and not raster.levels.flags.writeable
+        assert raster.levels.tobytes() == _LEVELS.tobytes()
+        assert not np.shares_memory(raster.levels, given)
+        assert raster.pixels.tobytes() == (_LEVELS / 2).tobytes() and not raster.pixels.flags.writeable
+
+    @pytest.mark.parametrize(
+        "levels, value_range, reason",
+        [
+            pytest.param(_LEVELS.astype(float), (0.0, 1.0), "integers", id="float-levels"),
+            pytest.param(
+                np.full((RASTER_SIZE, RASTER_SIZE), 0.25), (0.0, 1.0), "integers", id="quarter-intensity"
+            ),
+            pytest.param(
+                np.random.default_rng(8).uniform(0.0, 1.0, (RASTER_SIZE, RASTER_SIZE)),
+                (-1.0, 1.0),
+                "integers",
+                id="non-dyadic-pixels",
+            ),
+            pytest.param(_with(np.nan, dtype=float), (0.0, 1.0), "integers", id="nan-pixel"),
+            pytest.param(_with(3), (0.0, 1.0), "0, 1 or 2", id="level-3"),
+            # A uint8 cast would wrap these to 2, 255 and 255.
+            pytest.param(_with(258), (0.0, 1.0), "0, 1 or 2", id="level-258"),
+            pytest.param(_with(-1, dtype=np.int8), (0.0, 1.0), "0, 1 or 2", id="level-minus-1"),
+            pytest.param(_with(2**64 - 1, dtype=np.uint64), (0.0, 1.0), "0, 1 or 2", id="level-uint64-max"),
+            pytest.param(_LEVELS[1:], (0.0, 1.0), "128x128", id="127-rows"),
+            pytest.param(_LEVELS.reshape(-1), (0.0, 1.0), "2-D", id="flat"),
+            pytest.param(np.zeros((0, 0), dtype=np.uint8), (0.0, 1.0), "128x128", id="empty"),
+            pytest.param(_LEVELS, (1.0, 0.0), "value_range", id="reversed-range"),
+            pytest.param(_LEVELS, (0.0, 0.0), "value_range", id="empty-range"),
+            pytest.param(_LEVELS, (0.0, np.inf), "value_range", id="infinite-range"),
+            pytest.param(_LEVELS, (np.nan, 1.0), "value_range", id="nan-range"),
+        ],
+    )
+    def test_refuses_a_non_level_raster(self, levels, value_range, reason) -> None:
+        with pytest.raises(InvalidArgumentError, match=reason):
+            QQRaster(levels, value_range)
+
+    @pytest.mark.parametrize("case, seed, n", [(5, 11, 100), (9, 3, 10)])
+    def test_a_raster_rebuilt_from_its_levels_scores_the_same(self, case, seed, n) -> None:
+        """QQRaster(r.levels, r.value_range) of a rendered r: same features, PSNR, SSIM and PGM bytes."""
+        raster = rasterize(qq_points(sample(case_spec(case), n, seed)))
+        rebuilt = QQRaster(raster.levels, raster.value_range)
+        reference = rasterize(ideal_points(n))
+        assert extract_image(rebuilt).tobytes() == extract_image(raster).tobytes()
+        for score in (psnr, ssim):
+            got = [score(rebuilt, reference).value, score(reference, rebuilt).value]
+            want = [score(raster, reference).value, score(reference, raster).value]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert to_pgm(rebuilt) == to_pgm(raster)

@@ -501,8 +501,8 @@ ARRAY_FIELDS = {
         lambda a: QQPoints(a["theoretical"], a["empirical"]),
     ),
     "QQRaster": (
-        {"pixels": np.full((RASTER_SIZE, RASTER_SIZE), 0.25)},
-        lambda a: QQRaster(a["pixels"], (0.0, 1.0)),
+        {"levels": np.full((RASTER_SIZE, RASTER_SIZE), 1)},
+        lambda a: QQRaster(a["levels"], (0.0, 1.0)),
     ),
     "SelectionModel": (
         {"scores": np.array([3.0, 1.0, 2.0]), "mask": np.array([0, 2])},
@@ -518,7 +518,8 @@ ARRAY_FIELDS = {
         _dnt_model,
     ),
 }
-INDEX_FIELDS = {"mask", "pairs", "triplets"}
+# The integer fields and their stored dtype; every other field is stored as float64.
+INTEGER_FIELDS = {"mask": np.int64, "pairs": np.int64, "triplets": np.int64, "levels": np.uint8}
 
 
 class TestArrayRule:
@@ -533,7 +534,7 @@ class TestArrayRule:
             stored = getattr(value, name)
             assert not stored.flags.writeable, name
             assert stored.flags.c_contiguous, name
-            assert stored.dtype == (np.int64 if name in INDEX_FIELDS else np.float64), name
+            assert stored.dtype == INTEGER_FIELDS.get(name, np.float64), name
             assert not np.shares_memory(stored, caller), name
             before = stored.copy()
             caller += 1
