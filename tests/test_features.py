@@ -106,8 +106,6 @@ class TestExtractImage:
 
     def test_point_free_raster_zeroes_position_features(self) -> None:
         """With no point-level pixels the mean row/col default to 0."""
-        from dnt.qq import QQRaster, RASTER_SIZE
-
         raster = QQRaster(np.ones((RASTER_SIZE, RASTER_SIZE), dtype=np.uint8), (0.0, 1.0))
         vec = extract_image(raster)
         assert vec[-2] == 0.0
